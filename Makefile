@@ -1,16 +1,7 @@
-.PHONY: check test race bench bench-json bench-analyzer chaos
+.PHONY: check test race bench chaos
 
 check:
 	./scripts/check.sh
-
-bench-json:
-	./scripts/bench.sh
-	./scripts/bench_analyzer.sh
-
-# Analyzer scale-out sweep only: serial vs parallel at 10k/100k/500k
-# observations, written to BENCH_analyzer.json.
-bench-analyzer:
-	./scripts/bench_analyzer.sh
 
 test:
 	go build ./... && go test ./...
@@ -23,5 +14,7 @@ race:
 chaos:
 	CHAOS_ROUNDS=$${CHAOS_ROUNDS:-25} go test -race -run='TestChaosSoak' -count=1 -v ./internal/core/
 
+# Micro-benchmarks: every Benchmark* function, with allocations. The end-to-end
+# benchmark is bash e2ebench/run.sh (see BENCHMARK.json).
 bench:
 	go test -run='^$$' -bench=. -benchmem ./...

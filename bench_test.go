@@ -160,7 +160,7 @@ func BenchmarkFigure13TPCDS(b *testing.B) {
 }
 
 // BenchmarkConcurrentSubmit measures the concurrent submission pipeline:
-// the same pure-reuse workload run serially and through SubmitBatch on
+// the same pure-reuse workload run serially and through RunBatch on
 // identically warmed services, reporting batched throughput and the
 // wall-clock speedup. The speedup is bounded by GOMAXPROCS — expect ≥2x
 // on a 4-core machine, and ~1x on a single-core one — while outputs and

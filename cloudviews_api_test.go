@@ -1,16 +1,13 @@
 package cloudviews
 
-// cloudviews_api_test.go pins the redesigned public API surface: every
-// re-exported observability symbol must resolve at compile time, the
-// canonical Run/RunBatch pair must exist with its ctx-first shape, and
-// the deprecated Submit quartet must delegate to it with field-identical
-// results.
+// cloudviews_api_test.go pins the public API surface: every re-exported
+// observability symbol must resolve at compile time and the Run/RunBatch
+// pair must exist with its ctx-first shape.
 
 import (
 	"bytes"
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 )
 
@@ -21,21 +18,15 @@ func TestAPISurface(t *testing.T) {
 	cat := facadeCatalog(t)
 	svc := NewService(cat, Config{Enabled: true})
 
-	// Canonical submission pair.
+	// Submission pair.
 	var run func(context.Context, JobSpec) (*JobResult, error) = svc.Run
 	var runBatch func(context.Context, []JobSpec, BatchOptions) ([]*JobResult, error) = svc.RunBatch
-	// Deprecated wrappers, kept source-compatible.
-	var submit func(JobSpec) (*JobResult, error) = svc.Submit
-	var submitCtx func(context.Context, JobSpec) (*JobResult, error) = svc.SubmitCtx
-	var submitBatch func([]JobSpec, int) ([]*JobResult, error) = svc.SubmitBatch
-	var submitBatchCtx func(context.Context, []JobSpec, int) ([]*JobResult, error) = svc.SubmitBatchCtx
 	// Unified stats and tracing surface.
 	var snapshot func() ServiceStats = svc.Snapshot
 	var trace func(string) (*Trace, bool) = svc.Trace
 	var setObserver func(*ServiceObserver) = svc.SetObserver
 	var observer func() *ServiceObserver = svc.Observer
-	for _, fn := range []any{run, runBatch, submit, submitCtx, submitBatch,
-		submitBatchCtx, snapshot, trace, setObserver, observer} {
+	for _, fn := range []any{run, runBatch, snapshot, trace, setObserver, observer} {
 		if fn == nil {
 			t.Fatal("nil method value")
 		}
@@ -67,98 +58,14 @@ func TestAPISurface(t *testing.T) {
 	if !bytes.Contains(tr.JSON(), []byte(`"outcome":"ok"`)) {
 		t.Fatalf("trace outcome missing: %s", tr.JSON())
 	}
-}
 
-// sameJobResult compares the observable fields of two results for the
-// delegation tests (pointers and plan identities necessarily differ).
-func sameJobResult(t *testing.T, label string, a, b *JobResult) {
-	t.Helper()
-	if (a == nil) != (b == nil) {
-		t.Fatalf("%s: nil mismatch", label)
-	}
-	if a == nil {
-		return
-	}
-	if a.Result.TotalCPU != b.Result.TotalCPU || a.Result.Latency != b.Result.Latency {
-		t.Fatalf("%s: cost mismatch cpu %v vs %v, latency %v vs %v",
-			label, a.Result.TotalCPU, b.Result.TotalCPU, a.Result.Latency, b.Result.Latency)
-	}
-	if len(a.Result.Outputs) != len(b.Result.Outputs) {
-		t.Fatalf("%s: output count %d vs %d", label, len(a.Result.Outputs), len(b.Result.Outputs))
-	}
-	for name, rows := range a.Result.Outputs {
-		if !reflect.DeepEqual(rows, b.Result.Outputs[name]) {
-			t.Fatalf("%s: output %q differs", label, name)
-		}
-	}
-	if !reflect.DeepEqual(a.Result.MaterializedPaths, b.Result.MaterializedPaths) {
-		t.Fatalf("%s: materialized paths %v vs %v",
-			label, a.Result.MaterializedPaths, b.Result.MaterializedPaths)
-	}
-	if len(a.Decision.ViewsUsed) != len(b.Decision.ViewsUsed) ||
-		len(a.Decision.ViewsBuilt) != len(b.Decision.ViewsBuilt) {
-		t.Fatalf("%s: decision mismatch %+v vs %+v", label, a.Decision, b.Decision)
-	}
-}
-
-// TestDeprecatedWrappersDelegate proves Submit/SubmitCtx/SubmitBatch/
-// SubmitBatchCtx produce results identical to Run/RunBatch on identical
-// fresh services — they are wrappers, not parallel implementations.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	build := func() (*Service, *Catalog) {
-		cat := facadeCatalog(t)
-		return NewService(cat, Config{Enabled: true}), cat
-	}
-	job := func(cat *Catalog, id string) JobSpec {
-		return JobSpec{Meta: facadeMeta(id),
-			Root: Scan("purchases", "v1", mustSchema(cat, t)).
-				ShuffleHash([]int{0}, 4).
-				HashAgg([]int{0}, []AggSpec{{Fn: AggSum, Col: 3}}).
-				Output("spend")}
-	}
-
-	// Single-job: Run vs Submit vs SubmitCtx.
-	sv1, c1 := build()
-	r1, e1 := sv1.Run(context.Background(), job(c1, "j"))
-	sv2, c2 := build()
-	r2, e2 := sv2.Submit(job(c2, "j"))
-	sv3, c3 := build()
-	r3, e3 := sv3.SubmitCtx(context.Background(), job(c3, "j"))
-	if e1 != nil || e2 != nil || e3 != nil {
-		t.Fatal(e1, e2, e3)
-	}
-	sameJobResult(t, "Submit vs Run", r2, r1)
-	sameJobResult(t, "SubmitCtx vs Run", r3, r1)
-
-	// Batch: RunBatch vs SubmitBatch vs SubmitBatchCtx.
-	batch := func(cat *Catalog) []JobSpec {
-		return []JobSpec{job(cat, "b0"), job(cat, "b1"), job(cat, "b2")}
-	}
-	sv4, c4 := build()
-	rb1, eb1 := sv4.RunBatch(context.Background(), batch(c4), BatchOptions{Concurrency: 2})
-	sv5, c5 := build()
-	rb2, eb2 := sv5.SubmitBatch(batch(c5), 2)
-	sv6, c6 := build()
-	rb3, eb3 := sv6.SubmitBatchCtx(context.Background(), batch(c6), 2)
-	if eb1 != nil || eb2 != nil || eb3 != nil {
-		t.Fatal(eb1, eb2, eb3)
-	}
-	for i := range rb1 {
-		sameJobResult(t, "SubmitBatch vs RunBatch", rb2[i], rb1[i])
-		sameJobResult(t, "SubmitBatchCtx vs RunBatch", rb3[i], rb1[i])
-	}
-
-	// Error paths delegate too: a cancelled context yields the same typed
-	// JobError through the wrapper as through Run.
+	// A pre-cancelled context fails the job with a typed JobError.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, errRun := sv1.Run(ctx, job(c1, "cancelled"))
-	_, errWrap := sv1.SubmitCtx(ctx, job(c1, "cancelled"))
-	var jeRun, jeWrap *JobError
-	if !errors.As(errRun, &jeRun) || !errors.As(errWrap, &jeWrap) {
-		t.Fatalf("expected JobErrors, got %v / %v", errRun, errWrap)
-	}
-	if jeRun.Reason != ReasonCancelled || jeWrap.Reason != jeRun.Reason {
-		t.Fatalf("reason mismatch: %v vs %v", jeRun.Reason, jeWrap.Reason)
+	_, err = svc.Run(ctx, JobSpec{Meta: facadeMeta("cancelled"),
+		Root: Scan("purchases", "v1", mustSchema(cat, t)).Output("all")})
+	var je *JobError
+	if !errors.As(err, &je) || je.Reason != ReasonCancelled {
+		t.Fatalf("pre-cancelled Run: want *JobError{ReasonCancelled}, got %v", err)
 	}
 }

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -106,7 +107,7 @@ func main() {
 	}
 	ex := &exec.Executor{Catalog: cat, Store: storage.NewStore()}
 	for i, root := range compiled.Outputs {
-		res, err := ex.Run(root, fmt.Sprintf("scoperun-%d", i), 0)
+		res, err := ex.RunCtx(context.Background(), root, fmt.Sprintf("scoperun-%d", i), 0, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

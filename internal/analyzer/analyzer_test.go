@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"context"
 	"testing"
 
 	"cloudviews/internal/catalog"
@@ -61,7 +62,7 @@ func buildFixture(t testing.TB) *fixture {
 
 	run := func(job, user, vc, tpl string, period int64, root *plan.Node) {
 		t.Helper()
-		res, err := ex.Run(root, job, 0)
+		res, err := ex.RunCtx(context.Background(), root, job, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -241,7 +241,7 @@ func RunCoordinationAblation(seed int64) (*CoordinationAblationResult, error) {
 				plans[i], _ = svc.Opt.Optimize(j.Root, j.Meta.JobID, anns, 0)
 			}
 			for i, j := range order {
-				res, err := svc.Exec.Run(plans[i], j.Meta.JobID, 0)
+				res, err := svc.Exec.RunCtx(context.Background(), plans[i], j.Meta.JobID, 0, 0)
 				if err != nil {
 					return 0, err
 				}

@@ -88,7 +88,7 @@ func TestChaosSoak(t *testing.T) {
 					specA(fmt.Sprintf("r%d-i%d-a%d", round, inst, j), inst),
 					specB(fmt.Sprintf("r%d-i%d-b%d", round, inst, j), inst))
 			}
-			if _, err := s.SubmitBatch(batch, 8); err != nil {
+			if _, err := s.RunBatch(context.Background(), batch, BatchOptions{Concurrency: 8}); err != nil {
 				t.Fatalf("round %d instance %d: job failed under chaos: %v", round, inst, err)
 			}
 			totalJobs += len(batch)
@@ -153,7 +153,7 @@ func TestChaosSoak(t *testing.T) {
 				case 3: // unmeetable deadline on the logical clock
 					spec.Deadline = s.Clock.Now() + 1
 				}
-				_, waveErr[j] = s.SubmitCtx(ctx, spec)
+				_, waveErr[j] = s.Run(ctx, spec)
 			}(j, spec, mode, delays[j])
 		}
 		wg.Wait()
@@ -200,7 +200,7 @@ func TestChaosSoak(t *testing.T) {
 		if _, _, locks, _, _ := s.Meta.Stats(); locks != 0 {
 			t.Fatalf("round %d: %d build locks wedged after all jobs completed", round, locks)
 		}
-		follow, err := s.Submit(specB(fmt.Sprintf("r%d-follow", round), instancesPerRound))
+		follow, err := s.Run(context.Background(), specB(fmt.Sprintf("r%d-follow", round), instancesPerRound))
 		if err != nil {
 			t.Fatalf("round %d: clean follow-up failed: %v", round, err)
 		}
@@ -209,7 +209,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 		totalJobs++
 
-		rec := s.Recovery()
+		rec := s.Snapshot().Recovery
 		agg.VertexRetries += rec.VertexRetries
 		agg.QuarantinedViews += rec.QuarantinedViews
 		agg.DegradedReplans += rec.DegradedReplans

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"cloudviews/internal/analyzer"
@@ -20,7 +22,7 @@ func warmService(t testing.TB) *Service {
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
-	r, err := s.Submit(specA("warm-builder", 1))
+	r, err := s.Run(context.Background(), specA("warm-builder", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func usedSigs(r *JobResult) []string {
 
 // TestSubmitBatchMatchesSerial is the concurrency determinism test: the
 // same workload submitted serially on one warmed service and through
-// SubmitBatch(concurrency 8) on an identically-warmed service must yield
+// RunBatch (concurrency 8) on an identically-warmed service must yield
 // identical per-job outputs, identical simulated TotalCPU, and identical
 // view-reuse decisions.
 func TestSubmitBatchMatchesSerial(t *testing.T) {
@@ -63,13 +65,13 @@ func TestSubmitBatchMatchesSerial(t *testing.T) {
 
 	serial := make([]*JobResult, len(specs))
 	for i, spec := range specs {
-		r, err := sSerial.Submit(spec)
+		r, err := sSerial.Run(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("serial job %d: %v", i, err)
 		}
 		serial[i] = r
 	}
-	batch, err := sBatch.SubmitBatch(specs, 8)
+	batch, err := sBatch.RunBatch(context.Background(), specs, BatchOptions{Concurrency: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestSubmitBatchMatchesSerial(t *testing.T) {
 }
 
 // TestSubmitBatchConcurrentSoak drives a cold batch — builders and
-// consumers racing for the build lock — through SubmitBatch with a VC
+// consumers racing for the build lock — through RunBatch with a VC
 // scheduler attached, and checks the §6.5 invariants: every job succeeds,
 // exactly one build happens per annotated signature, and every job of a
 // template produces the same rows. Run it under -race to check the whole
@@ -123,7 +125,7 @@ func TestSubmitBatchConcurrentSoak(t *testing.T) {
 	s.BeginInstance(1)
 
 	specs := consumerSpecs(24) // no warm builder: the batch must elect one
-	results, err := s.SubmitBatch(specs, 8)
+	results, err := s.RunBatch(context.Background(), specs, BatchOptions{Concurrency: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,5 +167,52 @@ func TestSubmitBatchConcurrentSoak(t *testing.T) {
 	an := s.RunAnalyzer(analyzer.Config{MinFrequency: 2, TopK: 1})
 	if len(an.Selected) == 0 {
 		t.Error("analyzer found nothing in concurrently recorded history")
+	}
+}
+
+// TestRunSharedPlanConcurrent runs one plan from four goroutines at once,
+// then as a batch of four. Run never mutates the caller's plan, so
+// concurrent jobs may share it: under -race this checks every read the
+// pipeline makes of the shared nodes (schema derivation, cloning,
+// signatures, execution).
+func TestRunSharedPlanConcurrent(t *testing.T) {
+	s := newService(t)
+	seedHistory(t, s)
+	deliver(t, s.Catalog, 1)
+	s.BeginInstance(1)
+	shared := specA("shared", 1).Root
+	const workers = 4
+	specs := make([]JobSpec, 2*workers)
+	for i := range specs {
+		specs[i] = specA(fmt.Sprintf("shared-%d", i), 1)
+		specs[i].Root = shared
+	}
+	results := make([]*JobResult, len(specs))
+	errs := make([]error, len(specs))
+	var wg sync.WaitGroup
+	for i := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = s.Run(context.Background(), specs[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	batch, err := s.RunBatch(context.Background(), specs[workers:], BatchOptions{Concurrency: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(results[workers:], batch)
+	for i := 1; i < len(results); i++ {
+		for name, rows := range results[0].Result.Outputs {
+			if !data.RowsEqual(rows, results[i].Result.Outputs[name]) {
+				t.Errorf("job %d output %q differs from job 0", i, name)
+			}
+		}
 	}
 }

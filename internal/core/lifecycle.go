@@ -139,12 +139,11 @@ func (a *admission) exit() {
 	a.mu.Unlock()
 }
 
-// InFlight reports how many submissions are currently executing.
-func (s *Service) InFlight() int {
-	s.admit.init(s.Config.MaxInFlight)
-	s.admit.mu.Lock()
-	defer s.admit.mu.Unlock()
-	return s.admit.inFlight
+// stats reads the in-flight count and the draining latch together.
+func (a *admission) stats() SchedulerStats {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return SchedulerStats{InFlight: a.inFlight, Draining: a.draining}
 }
 
 // Drain stops admitting jobs (subsequent submissions fail with a
@@ -180,14 +179,6 @@ func (s *Service) Drain(ctx context.Context, journal io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Draining reports whether Drain has been called.
-func (s *Service) Draining() bool {
-	s.admit.init(s.Config.MaxInFlight)
-	s.admit.mu.Lock()
-	defer s.admit.mu.Unlock()
-	return s.admit.draining
 }
 
 // jobDeadline resolves a submission's absolute logical-clock deadline:

@@ -26,17 +26,17 @@ func BenchmarkSubmitCancelled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.SubmitCtx(ctx, spec); !errors.Is(err, context.Canceled) {
+		if _, err := s.Run(ctx, spec); !errors.Is(err, context.Canceled) {
 			b.Fatalf("want context.Canceled, got %v", err)
 		}
 	}
 	b.StopTimer()
 
 	// The fast path must account for every rejection and leak nothing.
-	if got := s.Recovery().Cancelled; got < int64(b.N) {
+	if got := s.Snapshot().Recovery.Cancelled; got < int64(b.N) {
 		b.Fatalf("Cancelled counter %d < %d rejections", got, b.N)
 	}
-	if n := s.InFlight(); n != 0 {
+	if n := s.Snapshot().Scheduler.InFlight; n != 0 {
 		b.Fatalf("%d submissions still in flight after rejection loop", n)
 	}
 }

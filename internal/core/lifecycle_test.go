@@ -42,7 +42,7 @@ func TestShedUnmeetableDeadline(t *testing.T) {
 
 	spec := specA("shed1", 0)
 	spec.Deadline = now + 10
-	res, err := s.Submit(spec)
+	res, err := s.Run(context.Background(), spec)
 	if res != nil || err == nil {
 		t.Fatalf("unmeetable deadline must shed, got res=%v err=%v", res, err)
 	}
@@ -53,7 +53,7 @@ func TestShedUnmeetableDeadline(t *testing.T) {
 	if je.JobID != "shed1" {
 		t.Errorf("JobError.JobID = %q, want shed1", je.JobID)
 	}
-	if got := s.Recovery().Shed; got != 1 {
+	if got := s.Snapshot().Recovery.Shed; got != 1 {
 		t.Errorf("Shed = %d, want 1", got)
 	}
 	// Nothing executed: no locks, no views, no store writes.
@@ -67,10 +67,10 @@ func TestShedUnmeetableDeadline(t *testing.T) {
 	// A deadline past the backlog is admitted and completes.
 	ok := specA("shed2", 0)
 	ok.Deadline = now + 1000000
-	if _, err := s.Submit(ok); err != nil {
+	if _, err := s.Run(context.Background(), ok); err != nil {
 		t.Fatalf("meetable deadline should run: %v", err)
 	}
-	if got := s.Recovery().Shed; got != 1 {
+	if got := s.Snapshot().Recovery.Shed; got != 1 {
 		t.Errorf("Shed moved to %d on a successful job", got)
 	}
 }
@@ -80,7 +80,7 @@ func TestShedUnmeetableDeadline(t *testing.T) {
 // Config.DefaultDeadline applies it to jobs without an explicit one.
 func TestDeadlineExceededFailsJob(t *testing.T) {
 	s := newService(t)
-	clean, err := s.Submit(specA("clean", 0))
+	clean, err := s.Run(context.Background(), specA("clean", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDeadlineExceededFailsJob(t *testing.T) {
 
 	spec := specA("dl1", 0)
 	spec.Deadline = s.Clock.Now() + 1
-	_, err = s.Submit(spec)
+	_, err = s.Run(context.Background(), spec)
 	var je *JobError
 	if !errors.As(err, &je) || je.Reason != ReasonDeadline {
 		t.Fatalf("want *JobError{ReasonDeadline}, got %v", err)
@@ -98,7 +98,7 @@ func TestDeadlineExceededFailsJob(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("cause should unwrap to context.DeadlineExceeded: %v", err)
 	}
-	if got := s.Recovery().DeadlineExceeded; got != 1 {
+	if got := s.Snapshot().Recovery.DeadlineExceeded; got != 1 {
 		t.Errorf("DeadlineExceeded = %d, want 1", got)
 	}
 	if _, _, locks, _, _ := s.Meta.Stats(); locks != 0 {
@@ -107,7 +107,7 @@ func TestDeadlineExceededFailsJob(t *testing.T) {
 
 	// DefaultDeadline covers jobs that didn't set one.
 	s.Config.DefaultDeadline = 1
-	if _, err := s.Submit(specA("dl2", 0)); err == nil {
+	if _, err := s.Run(context.Background(), specA("dl2", 0)); err == nil {
 		t.Fatal("DefaultDeadline=1 should fail the job")
 	} else if !errors.As(err, &je) || je.Reason != ReasonDeadline {
 		t.Fatalf("want ReasonDeadline under DefaultDeadline, got %v", err)
@@ -115,7 +115,7 @@ func TestDeadlineExceededFailsJob(t *testing.T) {
 	// An explicit per-job deadline overrides the default.
 	wide := specA("dl3", 0)
 	wide.Deadline = s.Clock.Now() + 1_000_000
-	if _, err := s.Submit(wide); err != nil {
+	if _, err := s.Run(context.Background(), wide); err != nil {
 		t.Fatalf("explicit deadline should override DefaultDeadline: %v", err)
 	}
 	s.Config.DefaultDeadline = 0
@@ -160,7 +160,7 @@ func TestCancelMidJobRetractsEverything(t *testing.T) {
 	defer cancel()
 	hook := &sealThenCancelHook{cancel: cancel}
 	s.Exec.Faults = hook
-	res, err := s.SubmitCtx(ctx, specA("cx1", 1))
+	res, err := s.Run(ctx, specA("cx1", 1))
 	s.Exec.Faults = nil
 	if res != nil || err == nil {
 		t.Fatalf("cancelled job must fail, got res=%v err=%v", res, err)
@@ -175,7 +175,7 @@ func TestCancelMidJobRetractsEverything(t *testing.T) {
 	if !hook.done {
 		t.Fatal("hook never saw a Materialize seal — the test exercised nothing")
 	}
-	if got := s.Recovery().Cancelled; got != 1 {
+	if got := s.Snapshot().Recovery.Cancelled; got != 1 {
 		t.Errorf("Cancelled = %d, want 1", got)
 	}
 
@@ -204,7 +204,7 @@ func TestCancelMidJobRetractsEverything(t *testing.T) {
 	}
 
 	// The released lock lets the next submitter build the same view.
-	r2, err := s.Submit(specA("cx2", 1))
+	r2, err := s.Run(context.Background(), specA("cx2", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,13 +227,13 @@ func TestMetadataBreakerLifecycle(t *testing.T) {
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
-	if _, err := s.Submit(specA("a1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
 		t.Fatal(err)
 	}
 
 	s.Meta.Faults = blackout{}
 	for i := 0; i < 3; i++ {
-		r, err := s.Submit(specB(fmt.Sprintf("b%d", i), 1))
+		r, err := s.Run(context.Background(), specB(fmt.Sprintf("b%d", i), 1))
 		if err != nil {
 			t.Fatalf("blackout job %d must degrade, not fail: %v", i, err)
 		}
@@ -241,13 +241,13 @@ func TestMetadataBreakerLifecycle(t *testing.T) {
 			t.Errorf("blackout job %d not flagged MetaUnavailable", i)
 		}
 	}
-	if got := s.Recovery().BreakerOpens; got != 1 {
+	if got := s.Snapshot().Recovery.BreakerOpens; got != 1 {
 		t.Fatalf("BreakerOpens = %d after %d consecutive failures, want 1", got, 3)
 	}
 
 	// Open breaker: the next job degrades without a metadata round trip.
 	_, _, _, lookupsBefore, _ := s.Meta.Stats()
-	r, err := s.Submit(specB("b-open", 1))
+	r, err := s.Run(context.Background(), specB("b-open", 1))
 	if err != nil {
 		t.Fatalf("short-circuited job must not fail: %v", err)
 	}
@@ -257,7 +257,7 @@ func TestMetadataBreakerLifecycle(t *testing.T) {
 	if _, _, _, lookupsAfter, _ := s.Meta.Stats(); lookupsAfter != lookupsBefore {
 		t.Errorf("open breaker still performed %d lookups", lookupsAfter-lookupsBefore)
 	}
-	if got := s.Recovery().BreakerShortCircuits; got < 1 {
+	if got := s.Snapshot().Recovery.BreakerShortCircuits; got < 1 {
 		t.Errorf("BreakerShortCircuits = %d, want >= 1", got)
 	}
 
@@ -266,14 +266,14 @@ func TestMetadataBreakerLifecycle(t *testing.T) {
 	// the breaker, and the very same job resumes reuse.
 	s.Meta.Faults = nil
 	s.Clock.AdvanceTo(s.Clock.Now() + cooldown + 1)
-	r2, err := s.Submit(specB("heal", 1))
+	r2, err := s.Run(context.Background(), specB("heal", 1))
 	if err != nil {
 		t.Fatalf("healed probe job failed: %v", err)
 	}
 	if len(r2.Decision.ViewsUsed) == 0 {
 		t.Errorf("reuse did not resume on the healed probe: %+v", r2.Decision)
 	}
-	if got := s.Recovery().BreakerOpens; got != 1 {
+	if got := s.Snapshot().Recovery.BreakerOpens; got != 1 {
 		t.Errorf("breaker re-opened against a healthy service: opens = %d", got)
 	}
 }
@@ -288,7 +288,7 @@ func TestStoreBreakerDegradesToBaseline(t *testing.T) {
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
-	ra, err := s.Submit(specA("a1", 1))
+	ra, err := s.Run(context.Background(), specA("a1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestStoreBreakerDegradesToBaseline(t *testing.T) {
 
 	// Every storage read fails from here on.
 	s.Store.Faults = fault.NewInjector(fault.Config{Seed: 42, StorageRead: 1.0})
-	rb, err := s.Submit(specB("b1", 1))
+	rb, err := s.Run(context.Background(), specB("b1", 1))
 	s.Store.Faults = nil
 	if err != nil {
 		t.Fatalf("store blackout must degrade, not fail: %v", err)
@@ -310,7 +310,7 @@ func TestStoreBreakerDegradesToBaseline(t *testing.T) {
 	if len(rb.Decision.ViewsUsed) != 0 {
 		t.Errorf("degraded job still reads %d views", len(rb.Decision.ViewsUsed))
 	}
-	rec := s.Recovery()
+	rec := s.Snapshot().Recovery
 	if rec.QuarantinedViews != 0 {
 		t.Errorf("healthy view quarantined %d times for a dependency outage", rec.QuarantinedViews)
 	}
@@ -325,7 +325,7 @@ func TestStoreBreakerDegradesToBaseline(t *testing.T) {
 	}
 
 	// Reads healed: the probe closes the breaker and the view is reused.
-	rc, err := s.Submit(specB("b2", 1))
+	rc, err := s.Run(context.Background(), specB("b2", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestStoreBreakerDegradesToBaseline(t *testing.T) {
 // with ErrDraining.
 func TestDrainStopsAdmissionAndFlushes(t *testing.T) {
 	s := newService(t)
-	if _, err := s.Submit(specA("d0", 0)); err != nil {
+	if _, err := s.Run(context.Background(), specA("d0", 0)); err != nil {
 		t.Fatal(err)
 	}
 	var journal bytes.Buffer
@@ -349,10 +349,10 @@ func TestDrainStopsAdmissionAndFlushes(t *testing.T) {
 	if journal.Len() == 0 {
 		t.Error("drain flushed an empty metadata journal")
 	}
-	if !s.Draining() {
+	if !s.Snapshot().Scheduler.Draining {
 		t.Error("service does not report draining")
 	}
-	_, err := s.Submit(specA("d1", 0))
+	_, err := s.Run(context.Background(), specA("d1", 0))
 	var je *JobError
 	if !errors.As(err, &je) || je.Reason != ReasonShed {
 		t.Fatalf("post-drain submit: want *JobError{ReasonShed}, got %v", err)
@@ -360,7 +360,7 @@ func TestDrainStopsAdmissionAndFlushes(t *testing.T) {
 	if !errors.Is(err, ErrDraining) {
 		t.Errorf("post-drain submit should wrap ErrDraining: %v", err)
 	}
-	if got := s.Recovery().Shed; got != 1 {
+	if got := s.Snapshot().Recovery.Shed; got != 1 {
 		t.Errorf("Shed = %d, want 1", got)
 	}
 }
@@ -389,10 +389,10 @@ func TestDrainWaitsForInFlight(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Submit(specA("slow", 0))
+		_, err := s.Run(context.Background(), specA("slow", 0))
 		done <- err
 	}()
-	for i := 0; s.InFlight() == 0; i++ {
+	for i := 0; s.Snapshot().Scheduler.InFlight == 0; i++ {
 		if i > 2000 {
 			t.Fatal("submission never reached in-flight state")
 		}
@@ -447,7 +447,7 @@ func TestSubmitBatchAggregatesFailures(t *testing.T) {
 	bad2 := specB("badjob2", 0)
 	bad2.Deadline = now + 7
 
-	results, err := s.SubmitBatch([]JobSpec{ok, bad1, bad2}, 2)
+	results, err := s.RunBatch(context.Background(), []JobSpec{ok, bad1, bad2}, BatchOptions{Concurrency: 2})
 	if err == nil {
 		t.Fatal("batch with shed jobs returned no error")
 	}
@@ -463,7 +463,7 @@ func TestSubmitBatchAggregatesFailures(t *testing.T) {
 	if !errors.As(err, &je) || je.Reason != ReasonShed {
 		t.Fatalf("typed cause lost in aggregation: %v", err)
 	}
-	if got := s.Recovery().Shed; got != 2 {
+	if got := s.Snapshot().Recovery.Shed; got != 2 {
 		t.Errorf("Shed = %d, want 2", got)
 	}
 }
@@ -506,10 +506,10 @@ func TestMaxInFlightBlocksAndReleases(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		batch = append(batch, specA(fmt.Sprintf("mif%d", i), 0))
 	}
-	if _, err := s2.SubmitBatch(batch, 6); err != nil {
+	if _, err := s2.RunBatch(context.Background(), batch, BatchOptions{Concurrency: 6}); err != nil {
 		t.Fatalf("bounded batch failed: %v", err)
 	}
-	if got := s2.InFlight(); got != 0 {
+	if got := s2.Snapshot().Scheduler.InFlight; got != 0 {
 		t.Errorf("in-flight gauge %d after batch, want 0", got)
 	}
 }

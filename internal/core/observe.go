@@ -28,7 +28,6 @@ import (
 	"cloudviews/internal/exec"
 	"cloudviews/internal/metadata"
 	"cloudviews/internal/obs"
-	"cloudviews/internal/plan"
 	"cloudviews/internal/storage"
 )
 
@@ -363,10 +362,7 @@ type BreakerStats struct {
 }
 
 // ServiceStats is the unified stats surface: one versioned value holding
-// every subsystem's counters, replacing the scatter of per-subsystem
-// accessors (Recovery, StorageStats, InFlight, Draining, …) that callers
-// previously had to stitch together. The legacy accessors remain and
-// report identical numbers; Snapshot is the canonical read.
+// every subsystem's counters. Snapshot is the only way to read them.
 type ServiceStats struct {
 	// SchemaVersion is StatsSchemaVersion at build time.
 	SchemaVersion int
@@ -379,25 +375,35 @@ type ServiceStats struct {
 	Metrics obs.MetricsSnapshot
 }
 
-// Snapshot returns a consistent point-in-time view of the whole service.
-// Safe to call concurrently with submissions: every subsystem is read
-// through its own synchronized snapshot path.
+// Snapshot reads every subsystem's counters. Safe to call concurrently
+// with submissions: each subsystem is read through its own synchronized
+// path, so each section is self-consistent, but the sections are read one
+// after another and are not one point-in-time view of the whole service.
+// Within Recovery, counters bumped together for one event (a quarantine
+// and the replan it forces) are never seen half-applied.
 func (s *Service) Snapshot() ServiceStats {
 	st := ServiceStats{
 		SchemaVersion: StatsSchemaVersion,
-		Recovery:      s.Recovery(),
-		Storage:       s.StorageStats(),
-		Scheduler:     SchedulerStats{InFlight: s.InFlight(), Draining: s.Draining()},
+		Recovery:      s.recovery.snapshot(),
+		Storage: StorageStats{
+			ResidentEncodedBytes: s.Store.TotalBytes(),
+			Views:                s.Store.Len(),
+			Cache:                s.Store.CacheStats(),
+		},
+		Scheduler: s.admit.stats(),
 	}
 	for _, b := range []*breaker.Breaker{s.metaBreaker, s.storeBreaker} {
 		if b == nil {
 			continue
 		}
+		opens, shorts := b.Opens(), b.ShortCircuits()
+		st.Recovery.BreakerOpens += opens
+		st.Recovery.BreakerShortCircuits += shorts
 		st.Breakers = append(st.Breakers, BreakerStats{
 			Dep:            b.Name(),
 			State:          b.State().String(),
-			Opens:          b.Opens(),
-			ShortCircuits:  b.ShortCircuits(),
+			Opens:          opens,
+			ShortCircuits:  shorts,
 			Probes:         b.Probes(),
 			ProbeSuccesses: b.ProbeSuccesses(),
 			ProbeFailures:  b.ProbeFailures(),
@@ -411,8 +417,7 @@ func (s *Service) Snapshot() ServiceStats {
 
 // Run submits one job through the full CloudViews pipeline under the
 // caller's context and records it in the workload repository. This is
-// the canonical single-job entry point; Submit and SubmitCtx are thin
-// deprecated wrappers over it. User plans are never mutated —
+// the single-job entry point. User plans are never mutated —
 // optimization operates on an internal clone (transparency, §4).
 // Cancelling ctx stops the job at the next vertex or chunk boundary,
 // releases its build locks and reservations, retracts any views it
@@ -443,43 +448,35 @@ type BatchOptions struct {
 // wins a build lock (and therefore pays materialization cost) depends on
 // scheduling, exactly as with concurrent submitters in production.
 //
-// Each job runs against a private clone of its plan, so specs may share
-// subtrees (or whole plans) with each other and with the caller.
-// Cancelling ctx stops every job still in flight. Per-job failures are
-// aggregated with errors.Join — results keeps its per-index entries, and
-// each joined error is wrapped with the batch index and job ID.
+// As with Run, user plans are never mutated, so specs may share subtrees
+// (or whole plans) with each other and with the caller. Cancelling ctx
+// stops every job still in flight. Per-job failures are aggregated with
+// errors.Join — results keeps its per-index entries, and each joined
+// error is wrapped with the batch index and job ID.
 func (s *Service) RunBatch(ctx context.Context, specs []JobSpec, opts BatchOptions) ([]*JobResult, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
 	concurrency := batchConcurrency(opts.Concurrency)
 	now := s.Clock.Now()
-	// Clone every plan up front, serially: plan nodes memoize derived
-	// state (schemas) in place, which would race if two in-flight jobs
-	// shared nodes.
-	jobs := make([]JobSpec, len(specs))
-	for i, spec := range specs {
-		spec.Root = plan.Clone(spec.Root)
-		jobs[i] = spec
-	}
-	results := make([]*JobResult, len(jobs))
-	errs := make([]error, len(jobs))
+	results := make([]*JobResult, len(specs))
+	errs := make([]error, len(specs))
 	sem := make(chan struct{}, concurrency)
 	var wg sync.WaitGroup
-	for i := range jobs {
+	for i := range specs {
 		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i], errs[i] = s.submitAt(ctx, jobs[i], now)
+			results[i], errs[i] = s.submitAt(ctx, specs[i], now)
 		}(i)
 	}
 	wg.Wait()
 	var joined []error
 	for i, err := range errs {
 		if err != nil {
-			joined = append(joined, fmt.Errorf("core: batch job %d (%s): %w", i, jobs[i].Meta.JobID, err))
+			joined = append(joined, fmt.Errorf("core: batch job %d (%s): %w", i, specs[i].Meta.JobID, err))
 		}
 	}
 	return results, errors.Join(joined...)

@@ -32,10 +32,9 @@ func benchSubmitService(b *testing.B, obs string) (*Service, JobSpec) {
 
 // BenchmarkSubmit measures one warmed reuse-path submission under three
 // observability levels. scripts/check.sh guards obs=off vs obs=metrics
-// (the always-on hooks) within OBS_OVERHEAD_PCT; scripts/bench.sh
-// records all three in BENCH_obs.json — obs=off doubling as the
-// pre-observability seed baseline, and obs=trace showing the opt-out
-// cost of full span capture (TraceCapacity: -1 turns it off).
+// (the always-on hooks) within OBS_OVERHEAD_PCT. obs=off doubles as the
+// pre-observability baseline, and obs=trace shows the opt-out cost of
+// full span capture (TraceCapacity: -1 turns it off).
 func BenchmarkSubmit(b *testing.B) {
 	for _, mode := range []string{"off", "metrics", "trace"} {
 		b.Run("obs="+mode, func(b *testing.B) {

@@ -156,7 +156,7 @@ func TestSnapshotConcurrentWithBatch(t *testing.T) {
 }
 
 // TestRecoveryStatsSnapshotConsistent pins the grouped-counter fix:
-// Recovery must never observe a quarantine without its paired replan,
+// a snapshot must never observe a quarantine without its paired replan,
 // which plain atomic loads could tear between the two increments.
 func TestRecoveryStatsSnapshotConsistent(t *testing.T) {
 	s := newService(t)
@@ -180,7 +180,7 @@ func TestRecoveryStatsSnapshotConsistent(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 500; i++ {
-		rs := s.Recovery()
+		rs := s.Snapshot().Recovery
 		if rs.QuarantinedViews != rs.DegradedReplans {
 			t.Fatalf("torn snapshot: quarantined=%d replans=%d",
 				rs.QuarantinedViews, rs.DegradedReplans)

@@ -184,7 +184,7 @@ type RecoveryStats struct {
 
 // recoveryCounters hold the lifecycle and fault-recovery tallies. Writers
 // always go through bump, sharing the RWMutex's read side so unrelated
-// increments stay concurrent; Recovery takes the write side, so a grouped
+// increments stay concurrent; snapshot takes the write side, so a grouped
 // update (e.g. quarantined+replans, bumped together for one quarantine
 // event) is never observed half-applied — plain atomic loads could tear
 // between the two increments and report a replan without its quarantine.
@@ -200,34 +200,27 @@ type recoveryCounters struct {
 }
 
 // bump applies a group of counter increments atomically with respect to
-// Recovery snapshots.
+// snapshots.
 func (r *recoveryCounters) bump(f func()) {
 	r.mu.RLock()
 	f()
 	r.mu.RUnlock()
 }
 
-// Recovery returns the service's fault-recovery counters. The snapshot is
-// internally consistent: no grouped update is seen half-applied.
-func (s *Service) Recovery() RecoveryStats {
-	s.recovery.mu.Lock()
-	rs := RecoveryStats{
-		VertexRetries:    s.recovery.retries.Load(),
-		QuarantinedViews: s.recovery.quarantined.Load(),
-		DegradedReplans:  s.recovery.replans.Load(),
-		ReuseSkipped:     s.recovery.reuseSkip.Load(),
-		Shed:             s.recovery.shed.Load(),
-		DeadlineExceeded: s.recovery.deadline.Load(),
-		Cancelled:        s.recovery.cancelled.Load(),
+// snapshot reads the counters under the write side of mu, so no grouped
+// bump is seen half-applied. The breaker counts are filled in by Snapshot.
+func (r *recoveryCounters) snapshot() RecoveryStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return RecoveryStats{
+		VertexRetries:    r.retries.Load(),
+		QuarantinedViews: r.quarantined.Load(),
+		DegradedReplans:  r.replans.Load(),
+		ReuseSkipped:     r.reuseSkip.Load(),
+		Shed:             r.shed.Load(),
+		DeadlineExceeded: r.deadline.Load(),
+		Cancelled:        r.cancelled.Load(),
 	}
-	s.recovery.mu.Unlock()
-	for _, b := range []*breaker.Breaker{s.metaBreaker, s.storeBreaker} {
-		if b != nil {
-			rs.BreakerOpens += b.Opens()
-			rs.BreakerShortCircuits += b.ShortCircuits()
-		}
-	}
-	return rs
 }
 
 // StorageStats snapshots the storage layer's byte gauges: how many
@@ -242,15 +235,6 @@ type StorageStats struct {
 	// Cache reports the decoded hot-view cache: resident entries/bytes
 	// plus hit/miss/eviction counters.
 	Cache storage.CacheStats
-}
-
-// StorageStats returns the service's storage byte gauges.
-func (s *Service) StorageStats() StorageStats {
-	return StorageStats{
-		ResidentEncodedBytes: s.Store.TotalBytes(),
-		Views:                s.Store.Len(),
-		Cache:                s.Store.CacheStats(),
-	}
 }
 
 // InstallFaults wires one fault injector into every layer of the service:
@@ -356,38 +340,6 @@ func defaultTags(spec JobSpec) []string {
 		}
 	}
 	return tags
-}
-
-// Submit runs one job through the full CloudViews pipeline.
-//
-// Deprecated: use Run, the canonical ctx-first entry point. Submit is
-// exactly Run with context.Background().
-func (s *Service) Submit(spec JobSpec) (*JobResult, error) {
-	return s.Run(context.Background(), spec)
-}
-
-// SubmitCtx is Submit with a caller-controlled lifecycle.
-//
-// Deprecated: use Run; SubmitCtx is an alias kept for source
-// compatibility.
-func (s *Service) SubmitCtx(ctx context.Context, spec JobSpec) (*JobResult, error) {
-	return s.Run(ctx, spec)
-}
-
-// SubmitBatch runs a batch of jobs with up to concurrency in flight
-// (≤ 1 means GOMAXPROCS).
-//
-// Deprecated: use RunBatch, the canonical ctx-first entry point.
-func (s *Service) SubmitBatch(specs []JobSpec, concurrency int) ([]*JobResult, error) {
-	return s.RunBatch(context.Background(), specs, BatchOptions{Concurrency: concurrency})
-}
-
-// SubmitBatchCtx is SubmitBatch under one shared submission context.
-//
-// Deprecated: use RunBatch; SubmitBatchCtx is an alias kept for source
-// compatibility.
-func (s *Service) SubmitBatchCtx(ctx context.Context, specs []JobSpec, concurrency int) ([]*JobResult, error) {
-	return s.RunBatch(ctx, specs, BatchOptions{Concurrency: concurrency})
 }
 
 // submitAt is the observability shell around submitJob, shared by the
@@ -636,7 +588,7 @@ func (s *Service) executeRecovering(ctx context.Context, jr *JobResult, spec Job
 		}
 		s.Store.Delete(path)
 		quarantined = append(quarantined, path)
-		// One grouped bump per quarantine event: a Recovery snapshot never
+		// One grouped bump per quarantine event: a Snapshot never
 		// sees the replan without its quarantine.
 		s.recovery.bump(func() {
 			s.recovery.quarantined.Add(1)
@@ -838,7 +790,7 @@ func (s *Service) execute(ctx context.Context, root *plan.Node, spec JobSpec, de
 // so validation can never interfere with real materializations.
 func (s *Service) runBaseline(spec JobSpec) (*exec.Result, error) {
 	ex := exec.Executor{Catalog: s.Catalog, Store: storage.NewStore()}
-	return ex.Run(plan.Clone(spec.Root), spec.Meta.JobID+"-baseline", s.Clock.Now())
+	return ex.RunCtx(context.Background(), spec.Root, spec.Meta.JobID+"-baseline", s.Clock.Now(), 0)
 }
 
 func outputsEqual(a, b *exec.Result) error {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -106,7 +107,7 @@ func newService(t testing.TB) *Service {
 func seedHistory(t testing.TB, s *Service) *analyzer.Analysis {
 	t.Helper()
 	for i, spec := range []JobSpec{specA("a0", 0), specB("b0", 0)} {
-		if _, err := s.Submit(spec); err != nil {
+		if _, err := s.Run(context.Background(), spec); err != nil {
 			t.Fatalf("seed job %d: %v", i, err)
 		}
 	}
@@ -126,7 +127,7 @@ func TestEndToEndBuildAndReuse(t *testing.T) {
 	// Instance 1: new data, same templates.
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
-	ra, err := s.Submit(specA("a1", 1))
+	ra, err := s.Run(context.Background(), specA("a1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestEndToEndBuildAndReuse(t *testing.T) {
 		t.Fatalf("first job of the instance should build, built=%d used=%d",
 			len(ra.Decision.ViewsBuilt), len(ra.Decision.ViewsUsed))
 	}
-	rb, err := s.Submit(specB("b1", 1))
+	rb, err := s.Run(context.Background(), specB("b1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +161,12 @@ func TestDisabledServiceNeverTouchesPlans(t *testing.T) {
 	cat := catalog.New()
 	deliver(t, cat, 0)
 	s := NewService(cat, Config{Enabled: false})
-	if _, err := s.Submit(specA("a0", 0)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a0", 0)); err != nil {
 		t.Fatal(err)
 	}
 	an := s.RunAnalyzer(analyzer.Config{MinFrequency: 1})
 	_ = an
-	r, err := s.Submit(specA("a1", 0))
+	r, err := s.Run(context.Background(), specA("a1", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +183,11 @@ func TestPerVCOptIn(t *testing.T) {
 	deliver(t, cat, 0)
 	s := NewService(cat, Config{Enabled: true, VCEnabled: map[string]bool{"vc9": true}})
 	seedSpec := specA("a0", 0) // vc1: not enabled
-	if _, err := s.Submit(seedSpec); err != nil {
+	if _, err := s.Run(context.Background(), seedSpec); err != nil {
 		t.Fatal(err)
 	}
 	s.RunAnalyzer(analyzer.Config{MinFrequency: 1})
-	r, err := s.Submit(specB("b0", 0))
+	r, err := s.Run(context.Background(), specB("b0", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +200,13 @@ func TestNewInstanceInvalidatesOldViews(t *testing.T) {
 	s := newService(t)
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
-	if _, err := s.Submit(specA("a1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Instance 2 delivers fresh data: the instance-1 view must not match.
 	deliver(t, s.Catalog, 2)
 	s.BeginInstance(2)
-	r, err := s.Submit(specB("b2", 2))
+	r, err := s.Run(context.Background(), specB("b2", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestExpiryPurgesViews(t *testing.T) {
 		t.Fatalf("expiry delta = %d, want 2", delta)
 	}
 	deliver(t, s.Catalog, 1)
-	if _, err := s.Submit(specA("a1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Store.Len() != 1 {
@@ -267,7 +268,7 @@ func TestBuilderFailureReleasesLockAndKeepsSealedViews(t *testing.T) {
 	// Make the builder fail after the Materialize seals (at the Sort
 	// above it). The view survives as a checkpoint.
 	s.Exec.Faults = crashKindHook{plan.OpSort}
-	if _, err := s.Submit(specA("a1-fail", 1)); err == nil {
+	if _, err := s.Run(context.Background(), specA("a1-fail", 1)); err == nil {
 		t.Fatal("expected injected failure")
 	}
 	s.Exec.Faults = nil
@@ -275,7 +276,7 @@ func TestBuilderFailureReleasesLockAndKeepsSealedViews(t *testing.T) {
 		t.Fatal("early-materialized view should survive builder failure")
 	}
 	// The next job reuses the checkpointed view.
-	r, err := s.Submit(specB("b1", 1))
+	r, err := s.Run(context.Background(), specB("b1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestBuilderFailureBeforeSealAllowsRetry(t *testing.T) {
 
 	// Fail before the Materialize runs: at the Exchange under it.
 	s.Exec.Faults = crashKindHook{plan.OpExchange}
-	if _, err := s.Submit(specA("a1-fail", 1)); err == nil {
+	if _, err := s.Run(context.Background(), specA("a1-fail", 1)); err == nil {
 		t.Fatal("expected injected failure")
 	}
 	s.Exec.Faults = nil
@@ -300,7 +301,7 @@ func TestBuilderFailureBeforeSealAllowsRetry(t *testing.T) {
 		t.Fatal("no view should exist after pre-seal failure")
 	}
 	// The abort released the lock, so the next job can build immediately.
-	r, err := s.Submit(specB("b1", 1))
+	r, err := s.Run(context.Background(), specB("b1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestConcurrentSubmissionsSingleBuilder(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			spec := specA(fmt.Sprintf("conc-%d", i), 1)
-			results[i], errs[i] = s.Submit(spec)
+			results[i], errs[i] = s.Run(context.Background(), spec)
 		}(i)
 	}
 	wg.Wait()
@@ -369,7 +370,7 @@ func TestOfflinePhase(t *testing.T) {
 		t.Fatal("offline phase built nothing")
 	}
 	// The online jobs of the instance reuse the pre-built views.
-	r, err := s.Submit(specA("a1", 1))
+	r, err := s.Run(context.Background(), specA("a1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,11 +387,11 @@ func TestSchedulerQueueing(t *testing.T) {
 	s.Config.ValidateResults = false
 	sched := newSchedulerWithVC("vc1", 1)
 	s.Sched = sched
-	r1, err := s.Submit(specA("q1", 0))
+	r1, err := s.Run(context.Background(), specA("q1", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Submit(specA("q2", 0))
+	r2, err := s.Run(context.Background(), specA("q2", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,10 +405,10 @@ func TestViewScanStatsImproveEstimates(t *testing.T) {
 	s := newService(t)
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
-	if _, err := s.Submit(specA("a1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	rb, err := s.Submit(specB("b1", 1))
+	rb, err := s.Run(context.Background(), specB("b1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +439,7 @@ func TestSignatureStabilityAcrossServiceRestart(t *testing.T) {
 	cat2 := s1.Catalog
 	s2 := NewService(cat2, Config{Enabled: true})
 	s2.Meta.LoadAnalysis(an.Annotations)
-	r, err := s2.Submit(specA("restarted", 0))
+	r, err := s2.Run(context.Background(), specA("restarted", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +462,7 @@ func TestVCLevelOfflineMode(t *testing.T) {
 
 	deliver(t, s.Catalog, 1)
 	// Online submission without the offline phase: nothing builds inline.
-	r, err := s.Submit(specA("a1-online", 1))
+	r, err := s.Run(context.Background(), specA("a1-online", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +478,7 @@ func TestVCLevelOfflineMode(t *testing.T) {
 		t.Fatalf("offline phase built %d", built)
 	}
 	// Subsequent online jobs reuse.
-	r2, err := s.Submit(specB("b1", 1))
+	r2, err := s.Run(context.Background(), specB("b1", 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cloudviews/internal/analyzer"
@@ -33,7 +34,7 @@ func TestMultiInstanceSoak(t *testing.T) {
 		}
 		svc.BeginInstance(inst)
 		for _, j := range w.JobsForInstance(inst) {
-			r, err := svc.Submit(JobSpec{Meta: j.Meta, Root: j.Root})
+			r, err := svc.Run(context.Background(), JobSpec{Meta: j.Meta, Root: j.Root})
 			if err != nil {
 				t.Fatalf("instance %d job %s: %v", inst, j.Meta.JobID, err)
 			}
@@ -116,7 +117,7 @@ func TestSoakWithWeeklyTemplates(t *testing.T) {
 			if j.Meta.Period == 7 {
 				weeklySeen = true
 			}
-			if _, err := svc.Submit(JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
+			if _, err := svc.Run(context.Background(), JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
 				t.Fatalf("instance %d: %v", inst, err)
 			}
 		}

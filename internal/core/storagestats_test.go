@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cloudviews/internal/catalog"
@@ -17,14 +18,14 @@ func TestStorageStatsGauges(t *testing.T) {
 	seedHistory(t, s)
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
-	if _, err := s.Submit(specA("a1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specA("a1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(specB("b1", 1)); err != nil {
+	if _, err := s.Run(context.Background(), specB("b1", 1)); err != nil {
 		t.Fatal(err)
 	}
 
-	st := s.StorageStats()
+	st := s.Snapshot().Storage
 	if st.Views != s.Store.Len() || st.Views == 0 {
 		t.Fatalf("Views gauge = %d, store has %d", st.Views, s.Store.Len())
 	}
@@ -73,11 +74,11 @@ func TestConfigCacheBytes(t *testing.T) {
 	deliver(t, s.Catalog, 1)
 	s.BeginInstance(1)
 	for _, spec := range []JobSpec{specA("a1", 1), specB("b1", 1)} {
-		if _, err := s.Submit(spec); err != nil {
+		if _, err := s.Run(context.Background(), spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := s.StorageStats(); st.Cache.Entries != 0 {
+	if st := s.Snapshot().Storage; st.Cache.Entries != 0 {
 		t.Errorf("disabled cache admitted entries: %+v", st.Cache)
 	}
 }

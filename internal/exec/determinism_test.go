@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -23,11 +24,11 @@ func TestExecutionDeterminismProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		root := randomPipeline(r).Sort([]int{0}, nil).Top(7).Output("o")
-		r1, err := e.Run(root, "a", 0)
+		r1, err := e.RunCtx(context.Background(), root, "a", 0, 0)
 		if err != nil {
 			return false
 		}
-		r2, err := e.Run(plan.Clone(root), "b", 0)
+		r2, err := e.RunCtx(context.Background(), plan.Clone(root), "b", 0, 0)
 		if err != nil {
 			return false
 		}
@@ -62,7 +63,7 @@ func TestTopThroughViewMatchesRecompute(t *testing.T) {
 		// Sort on the tie-heavy count column, keep 3.
 		return in.Sort([]int{1}, []bool{true}).Top(3).Output("o")
 	}
-	direct, err := e.Run(top(base), "direct", 0)
+	direct, err := e.RunCtx(context.Background(), top(base), "direct", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,11 @@ func TestTopThroughViewMatchesRecompute(t *testing.T) {
 	}
 	path := storage.PathFor(sig.Precise, "builder")
 	mat := base.Materialize(path, sig.Precise, sig.Normalized, props).Output("x")
-	if _, err := e.Run(mat, "builder", 0); err != nil {
+	if _, err := e.RunCtx(context.Background(), mat, "builder", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	vs := plan.ViewScan(path, base.Schema(), sig.Precise, sig.Normalized)
-	viaView, err := e.Run(top(vs), "viaview", 0)
+	viaView, err := e.RunCtx(context.Background(), top(vs), "viaview", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +111,11 @@ func TestMergeJoinMatchesHashJoin(t *testing.T) {
 	m := plan.Scan("sales", "sales-v1", salesSchema()).
 		MergeJoin(plan.Scan("items", "items-v1", itemSchema()), []int{0}, []int{0}).
 		Output("o")
-	rh, err := e.Run(h, "h", 0)
+	rh, err := e.RunCtx(context.Background(), h, "h", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, err := e.Run(m, "m", 0)
+	rm, err := e.RunCtx(context.Background(), m, "m", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestRangePartitionExchange(t *testing.T) {
 	p := plan.Scan("sales", "sales-v1", salesSchema()).
 		RangePartition([]int{3}, 4). // range on price
 		Output("o")
-	res, err := e.Run(p, "j", 0)
+	res, err := e.RunCtx(context.Background(), p, "j", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestRangePartitionExchange(t *testing.T) {
 	}
 	// A range exchange costs more than a hash exchange (it sorts).
 	h := plan.Scan("sales", "sales-v1", salesSchema()).ShuffleHash([]int{3}, 4).Output("o")
-	rh, err := e.Run(h, "j2", 0)
+	rh, err := e.RunCtx(context.Background(), h, "j2", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +174,10 @@ func TestRangeDesignedView(t *testing.T) {
 	}
 	path := storage.PathFor(sig.Precise, "b")
 	mat := base.Materialize(path, sig.Precise, sig.Normalized, props).Output("x")
-	if _, err := e.Run(mat, "b", 0); err != nil {
+	if _, err := e.RunCtx(context.Background(), mat, "b", 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, parts, err := e.Store.Consume(path)
+	v, parts, err := e.Store.ConsumeCtx(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestSkewStressParallelMatchesSerial(t *testing.T) {
 	}
 	for run := 0; run < 20; run++ {
 		root := build()
-		par, err := (&Executor{Catalog: cat, Store: storage.NewStore()}).Run(root, "skew", 0)
+		par, err := (&Executor{Catalog: cat, Store: storage.NewStore()}).RunCtx(context.Background(), root, "skew", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +309,7 @@ func TestSkewedPartitionsStraggle(t *testing.T) {
 		p := plan.Scan(table, "g", sch).
 			Filter(expr.B(expr.OpGe, expr.C(0, "k"), expr.Lit(data.Int(0)))).
 			Output("o")
-		res, err := e.Run(p, table, 0)
+		res, err := e.RunCtx(context.Background(), p, table, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -280,8 +280,9 @@ func (st *execState) deadlineErr() error {
 		st.job, st.deadline, context.DeadlineExceeded)
 }
 
-// Run executes the plan rooted at root. jobID tags provenance of any views
-// materialized; now is the simulated time used for view creation stamps.
+// RunCtx executes the plan rooted at root. jobID tags provenance of any
+// views materialized; now is the simulated time used for view creation
+// stamps.
 //
 // Independent subtrees execute concurrently on the shared worker pool
 // (see schedule.go) unless Serial selects the depth-first reference walk.
@@ -291,17 +292,14 @@ func (st *execState) deadlineErr() error {
 // identical on both paths and fault sites are keyed by plan position, not
 // completion order, so serial and scheduled executions produce
 // byte-identical results even under a deterministic fault schedule.
-func (e *Executor) Run(root *plan.Node, jobID string, now int64) (*Result, error) {
-	return e.RunCtx(context.Background(), root, jobID, now, 0)
-}
-
-// RunCtx is Run under a job lifecycle: ctx cancellation stops execution
-// cooperatively — checked authoritatively at every vertex boundary and
-// polled at chunk boundaries inside the long kernels — and deadline (an
-// absolute logical-clock instant, 0 = none) fails the job with
-// context.DeadlineExceeded as soon as any vertex's simulated completion
-// time passes it. Deadline enforcement is simulated-time against simulated
-// cost, so it is as deterministic as the cost model; wall-clock has no say.
+//
+// ctx cancellation stops execution cooperatively — checked
+// authoritatively at every vertex boundary and polled at chunk boundaries
+// inside the long kernels — and deadline (an absolute logical-clock
+// instant, 0 = none) fails the job with context.DeadlineExceeded as soon
+// as any vertex's simulated completion time passes it. Deadline
+// enforcement is simulated-time against simulated cost, so it is as
+// deterministic as the cost model; wall-clock has no say.
 func (e *Executor) RunCtx(ctx context.Context, root *plan.Node, jobID string, now int64, deadline int64) (*Result, error) {
 	st := &execState{
 		res: &Result{
@@ -451,7 +449,7 @@ func (e *Executor) emitVertex(n *plan.Node, ns *Stats, childLatency float64, vm 
 // re-runs it on transient failure, up to the policy's per-vertex attempt
 // cap and the job's shared retry budget. Retried kernels are idempotent by
 // construction — Output rewrites the same rows, Materialize deduplicates
-// through the store's first-writer-wins Write — so a retry re-runs only
+// through the store's first-writer-wins WriteCtx — so a retry re-runs only
 // this vertex, never its subtree. The returned vertexMeta carries the
 // extra simulated latency for the node's stats (backoff waits plus
 // injected straggler delay) and its breakdown for observability; it is
@@ -615,7 +613,7 @@ func (e *Executor) applyExtract(n *plan.Node) (partitions, int64, float64, error
 }
 
 func (e *Executor) applyViewScan(n *plan.Node, st *execState) (partitions, int64, float64, error) {
-	// Consume (not Get): reading a view on behalf of a job verifies its
+	// ConsumeCtx (not Get): reading a view on behalf of a job verifies its
 	// checksum and consults the storage fault hook, so a corrupt or
 	// missing view surfaces here as a permanent storage error the job
 	// frontend turns into quarantine-and-replan (or, when the store's
@@ -920,7 +918,7 @@ func (e *Executor) applyMaterialize(n *plan.Node, in partitions, inStats *Stats,
 		Schema:        n.Schema(),
 		Props:         n.MatProps,
 	}
-	// Write encodes viewParts into the view's columnar at-rest payload
+	// WriteCtx encodes viewParts into the view's columnar at-rest payload
 	// (partition-parallel) and records the payload checksum.
 	created, err := e.Store.WriteCtx(st.ctx, v, viewParts)
 	if err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func env(t testing.TB) *Executor {
 func TestExtractAndGUIDMismatch(t *testing.T) {
 	e := env(t)
 	p := plan.Scan("sales", "sales-v1", salesSchema()).Output("o")
-	res, err := e.Run(p, "j1", 0)
+	res, err := e.RunCtx(context.Background(), p, "j1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +66,12 @@ func TestExtractAndGUIDMismatch(t *testing.T) {
 	}
 	// Plan compiled against stale GUID must fail.
 	stale := plan.Scan("sales", "sales-v0", salesSchema()).Output("o")
-	if _, err := e.Run(stale, "j2", 0); err == nil {
+	if _, err := e.RunCtx(context.Background(), stale, "j2", 0, 0); err == nil {
 		t.Error("stale GUID should fail")
 	}
 	// Unknown table fails.
 	missing := plan.Scan("nope", "g", salesSchema()).Output("o")
-	if _, err := e.Run(missing, "j3", 0); err == nil {
+	if _, err := e.RunCtx(context.Background(), missing, "j3", 0, 0); err == nil {
 		t.Error("missing table should fail")
 	}
 }
@@ -84,7 +85,7 @@ func TestFilterProject(t *testing.T) {
 			expr.B(expr.OpMul, expr.C(2, "qty"), expr.C(3, "price")),
 		}).
 		Output("o")
-	res, err := e.Run(p, "j", 0)
+	res, err := e.RunCtx(context.Background(), p, "j", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestFilterProject(t *testing.T) {
 func TestExchangeRepartitions(t *testing.T) {
 	e := env(t)
 	p := plan.Scan("sales", "sales-v1", salesSchema()).ShuffleHash([]int{1}, 7).Output("o")
-	res, err := e.Run(p, "j", 0)
+	res, err := e.RunCtx(context.Background(), p, "j", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestExchangeRepartitions(t *testing.T) {
 	}
 	// Gather to one partition.
 	g := plan.Scan("sales", "sales-v1", salesSchema()).Gather().Output("o")
-	res, err = e.Run(g, "j2", 0)
+	res, err = e.RunCtx(context.Background(), g, "j2", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestExchangeRepartitions(t *testing.T) {
 	// Round robin balances.
 	rrp := plan.Scan("sales", "sales-v1", salesSchema()).
 		Exchange(plan.Partitioning{Kind: plan.PartRoundRobin, Count: 4}).Output("o")
-	res, err = e.Run(rrp, "j3", 0)
+	res, err = e.RunCtx(context.Background(), rrp, "j3", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestHashJoin(t *testing.T) {
 	p := plan.Scan("sales", "sales-v1", salesSchema()).
 		HashJoin(plan.Scan("items", "items-v1", itemSchema()), []int{0}, []int{0}).
 		Output("o")
-	res, err := e.Run(p, "j", 0)
+	res, err := e.RunCtx(context.Background(), p, "j", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestJoinHashCollisionSafety(t *testing.T) {
 	p := plan.Scan("items", "items-v1", itemSchema()).
 		HashJoin(plan.Scan("items", "items-v1", itemSchema()), []int{0}, []int{0}).
 		Output("o")
-	res, err := e.Run(p, "j", 0)
+	res, err := e.RunCtx(context.Background(), p, "j", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +188,11 @@ func TestHashAggMatchesStreamAgg(t *testing.T) {
 	}
 	h := plan.Scan("sales", "sales-v1", salesSchema()).HashAgg([]int{0}, aggs).Output("o")
 	s := plan.Scan("sales", "sales-v1", salesSchema()).StreamAgg([]int{0}, aggs).Output("o")
-	rh, err := e.Run(h, "j1", 0)
+	rh, err := e.RunCtx(context.Background(), h, "j1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := e.Run(s, "j2", 0)
+	rs, err := e.RunCtx(context.Background(), s, "j2", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestAggNullHandling(t *testing.T) {
 	p := plan.Scan("t", "g", tab.Schema).HashAgg([]int{0}, []plan.AggSpec{
 		{Fn: plan.AggSum, Col: 1}, {Fn: plan.AggCount, Col: 1}, {Fn: plan.AggMin, Col: 1},
 	}).Output("o")
-	res, err := e.Run(p, "j", 0)
+	res, err := e.RunCtx(context.Background(), p, "j", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestSortTopUnion(t *testing.T) {
 		Sort([]int{3}, []bool{true}).
 		Top(5).
 		Output("o")
-	res, err := e.Run(p, "j", 0)
+	res, err := e.RunCtx(context.Background(), p, "j", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestSortTopUnion(t *testing.T) {
 	u := plan.Scan("items", "items-v1", itemSchema()).
 		UnionAll(plan.Scan("items", "items-v1", itemSchema())).
 		Output("o")
-	res, err = e.Run(u, "j2", 0)
+	res, err = e.RunCtx(context.Background(), u, "j2", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,15 +269,15 @@ func TestProcessAndReduceDeterminism(t *testing.T) {
 	mk := func(hash string) *plan.Node {
 		return plan.Scan("items", "items-v1", itemSchema()).Process("scrub", hash).Output("o")
 	}
-	r1, err := e.Run(mk("v1"), "j1", 0)
+	r1, err := e.RunCtx(context.Background(), mk("v1"), "j1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Run(mk("v1"), "j2", 0)
+	r2, err := e.RunCtx(context.Background(), mk("v1"), "j2", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := e.Run(mk("v2"), "j3", 0)
+	r3, err := e.RunCtx(context.Background(), mk("v2"), "j3", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestProcessAndReduceDeterminism(t *testing.T) {
 	}
 	// Reduce appends the same value to all rows of a group.
 	red := plan.Scan("items", "items-v1", itemSchema()).Reduce("agg", "h", []int{1}).Output("o")
-	rr, err := e.Run(red, "j4", 0)
+	rr, err := e.RunCtx(context.Background(), red, "j4", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestSpoolSharedSubtreeRunsOnce(t *testing.T) {
 	top := shared.HashAgg([]int{0}, []plan.AggSpec{{Fn: plan.AggCount, Col: 1}}).
 		HashJoin(shared, []int{0}, []int{0}).
 		Output("o")
-	res, err := e.Run(top, "j", 0)
+	res, err := e.RunCtx(context.Background(), top, "j", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestMaterializeAndViewScanEquivalence(t *testing.T) {
 	builder := base.Materialize(path, sig.Precise, sig.Normalized, props).Output("o")
 	var published *storage.View
 	e.OnViewMaterialized = func(v *storage.View) { published = v }
-	resB, err := e.Run(builder, "builder", 5)
+	resB, err := e.RunCtx(context.Background(), builder, "builder", 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestMaterializeAndViewScanEquivalence(t *testing.T) {
 		t.Errorf("MaterializedPaths = %v", resB.MaterializedPaths)
 	}
 	// Physical design enforced (decode the at-rest payload to check).
-	v, parts, err := e.Store.Consume(path)
+	v, parts, err := e.Store.ConsumeCtx(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +377,7 @@ func TestMaterializeAndViewScanEquivalence(t *testing.T) {
 
 	// Consumer job: read the view; result must equal recomputation.
 	consumer := plan.ViewScan(path, base.Schema(), sig.Precise, sig.Normalized).Output("o")
-	resC, err := e.Run(consumer, "consumer", 6)
+	resC, err := e.RunCtx(context.Background(), consumer, "consumer", 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +390,7 @@ func TestMaterializeAndViewScanEquivalence(t *testing.T) {
 	}
 	// Missing view fails.
 	bad := plan.ViewScan("/views/none", base.Schema(), "x", "y").Output("o")
-	if _, err := e.Run(bad, "j", 0); err == nil {
+	if _, err := e.RunCtx(context.Background(), bad, "j", 0, 0); err == nil {
 		t.Error("missing view should fail")
 	}
 }
@@ -421,7 +422,7 @@ func TestFailureInjectionAndEarlyMaterializationSurvives(t *testing.T) {
 	// permanent — no Transient marker — so the retry loop does not save it.
 	e.Faults = crashKind{plan.OpSort}
 	defer func() { e.Faults = nil }()
-	if _, err := e.Run(p, "failing", 0); err == nil {
+	if _, err := e.RunCtx(context.Background(), p, "failing", 0, 0); err == nil {
 		t.Fatal("expected injected failure")
 	}
 	if e.Store.LookupPrecise(sig.Precise) == nil {
@@ -436,7 +437,7 @@ func TestStatsAccounting(t *testing.T) {
 		ShuffleHash([]int{0}, 4).
 		HashAgg([]int{0}, []plan.AggSpec{{Fn: plan.AggSum, Col: 3}}).
 		Output("o")
-	res, err := e.Run(p, "j", 0)
+	res, err := e.RunCtx(context.Background(), p, "j", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +471,7 @@ func TestReuseNeverChangesResults(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		root := randomPipeline(r)
-		orig, err := e.Run(root.Output("o"), "orig", 0)
+		orig, err := e.RunCtx(context.Background(), root.Output("o"), "orig", 0, 0)
 		if err != nil {
 			return false
 		}
@@ -481,7 +482,7 @@ func TestReuseNeverChangesResults(t *testing.T) {
 		path := storage.PathFor(sig.Precise, "p")
 		if e.Store.LookupPrecise(sig.Precise) == nil {
 			mat := cand.Materialize(path, sig.Precise, sig.Normalized, plan.PhysicalProps{}).Output("tmp")
-			if _, err := e.Run(mat, "builder", 0); err != nil {
+			if _, err := e.RunCtx(context.Background(), mat, "builder", 0, 0); err != nil {
 				return false
 			}
 		}
@@ -493,7 +494,7 @@ func TestReuseNeverChangesResults(t *testing.T) {
 			}
 			return n
 		})
-		re, err := e.Run(rewritten.Output("o"), "reuse", 0)
+		re, err := e.RunCtx(context.Background(), rewritten.Output("o"), "reuse", 0, 0)
 		if err != nil {
 			return false
 		}
@@ -532,7 +533,7 @@ func BenchmarkExecutePipeline(b *testing.B) {
 		Output("o")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(p, "j", 0); err != nil {
+		if _, err := e.RunCtx(context.Background(), p, "j", 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -110,7 +110,7 @@ func TestRunCtxCancelDoesNotBurnRetries(t *testing.T) {
 // is identical on the serial walk and the DAG scheduler — the deadline is
 // judged on simulated time, which does not depend on the schedule.
 func TestRunCtxDeadline(t *testing.T) {
-	clean, err := env(t).Run(retryPlan(), "clean", 0)
+	clean, err := env(t).RunCtx(context.Background(), retryPlan(), "clean", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

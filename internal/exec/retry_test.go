@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -54,7 +55,7 @@ func retryPlan() *plan.Node {
 // to a clean run. Runs on the parallel path (hooks no longer force serial).
 func TestVertexRetryRecovers(t *testing.T) {
 	e := env(t)
-	clean, err := e.Run(retryPlan(), "clean", 0)
+	clean, err := e.RunCtx(context.Background(), retryPlan(), "clean", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestVertexRetryRecovers(t *testing.T) {
 	hook := &flakyHook{kind: plan.OpHashGbAgg, failures: 2}
 	e.Faults = hook
 	defer func() { e.Faults = nil }()
-	res, err := e.Run(retryPlan(), "flaky", 0)
+	res, err := e.RunCtx(context.Background(), retryPlan(), "flaky", 0, 0)
 	if err != nil {
 		t.Fatalf("retries should have saved the job: %v", err)
 	}
@@ -97,7 +98,7 @@ func TestRetryAttemptsExhausted(t *testing.T) {
 	e := env(t)
 	e.Faults = &flakyHook{kind: plan.OpSort, failures: 1 << 30}
 	defer func() { e.Faults = nil }()
-	_, err := e.Run(retryPlan(), "doomed", 0)
+	_, err := e.RunCtx(context.Background(), retryPlan(), "doomed", 0, 0)
 	if err == nil || !strings.Contains(err.Error(), "attempts exhausted") {
 		t.Fatalf("want attempts-exhausted error, got %v", err)
 	}
@@ -110,7 +111,7 @@ func TestRetryJobBudget(t *testing.T) {
 	e.Retry = RetryPolicy{MaxAttempts: 4, JobBudget: 1}
 	e.Faults = &flakyHook{kind: plan.OpFilter, failures: 2}
 	defer func() { e.Faults = nil; e.Retry = RetryPolicy{} }()
-	_, err := e.Run(retryPlan(), "budgeted", 0)
+	_, err := e.RunCtx(context.Background(), retryPlan(), "budgeted", 0, 0)
 	if err == nil || !strings.Contains(err.Error(), "budget exhausted") {
 		t.Fatalf("want budget-exhausted error, got %v", err)
 	}
@@ -138,7 +139,7 @@ func TestFaultScheduleDeterministicAcrossSchedulers(t *testing.T) {
 		e.Serial = serial
 		e.Faults = fault.NewInjector(cfg)
 		root := retryPlan()
-		res, err := e.Run(root, "chaos", 0)
+		res, err := e.RunCtx(context.Background(), root, "chaos", 0, 0)
 		if err != nil {
 			t.Fatalf("serial=%v: %v", serial, err)
 		}

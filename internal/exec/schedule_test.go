@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -21,7 +22,7 @@ func serialRun(t *testing.T, e *Executor, root *plan.Node, jobID string) *Result
 	t.Helper()
 	e.Serial = true
 	defer func() { e.Serial = false }()
-	res, err := e.Run(root, jobID, 0)
+	res, err := e.RunCtx(context.Background(), root, jobID, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestParallelSchedulerMatchesSerial(t *testing.T) {
 
 		serRoot := plan.Clone(root)
 		serial := serialRun(t, e, serRoot, "serial")
-		par, err := e.Run(root, "par", 0)
+		par, err := e.RunCtx(context.Background(), root, "par", 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestParallelSchedulerSharedSpool(t *testing.T) {
 	}
 	rootA, rootB := build(), build()
 	serial := serialRun(t, e, rootA, "serial")
-	par, err := e.Run(rootB, "par", 0)
+	par, err := e.RunCtx(context.Background(), rootB, "par", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,10 +135,10 @@ func TestViewScanConcurrentConsumers(t *testing.T) {
 	mat := base.Materialize(path, sig.Precise, sig.Normalized, plan.PhysicalProps{
 		Part: plan.Partitioning{Kind: plan.PartHash, Cols: []int{0}, Count: 4},
 	}).Output("x")
-	if _, err := e.Run(mat, "builder", 0); err != nil {
+	if _, err := e.RunCtx(context.Background(), mat, "builder", 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	v, decoded, err := e.Store.Consume(path)
+	v, decoded, err := e.Store.ConsumeCtx(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestViewScanConcurrentConsumers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = e.Run(consumer(i), fmt.Sprintf("c%d", i), 0)
+			got[i], errs[i] = e.RunCtx(context.Background(), consumer(i), fmt.Sprintf("c%d", i), 0, 0)
 		}(i)
 	}
 	wg.Wait()
@@ -210,7 +211,7 @@ func TestViewScanConcurrentConsumers(t *testing.T) {
 
 	// The stored view must be byte-identical to the pre-consumer snapshot:
 	// both the at-rest encoded payload and the shared decode it serves.
-	v2, decoded2, err := e.Store.Consume(path)
+	v2, decoded2, err := e.Store.ConsumeCtx(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package metadata
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 )
@@ -97,12 +98,25 @@ func Handler(s *Service) http.Handler {
 	return mux
 }
 
+// maxRequestBytes bounds a request body. The largest request is an
+// analyzer upload to /load; 8 MiB holds tens of thousands of annotations.
+const maxRequestBytes = 8 << 20
+
+// decode reads one JSON request body into dst. It answers 413 when the
+// body passes maxRequestBytes and 400 when it is not valid JSON for dst;
+// either way the handler returns before touching the service.
 func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(dst)
+	if err == nil {
+		return true
 	}
-	return true
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), code)
+	return false
 }
 
 func reply(w http.ResponseWriter, v any) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -207,6 +208,47 @@ func TestHTTPRoundTrip(t *testing.T) {
 	c.AbortMaterialize("p1", "jobA") // no-op, must not error
 	if _, ok := c.LookupView("missing"); ok {
 		t.Error("missing view false positive over HTTP")
+	}
+}
+
+// TestHandlerRejectsBadBodies sends each mutating endpoint an oversized
+// body and a malformed one: the first must get 413, the second 400, and
+// neither may change the service's state.
+func TestHandlerRejectsBadBodies(t *testing.T) {
+	s := NewService()
+	s.LoadAnalysis([]Annotation{ann("n1", "clicks")})
+	s.ProposeMaterialize("n1", "p1", "jobA", 0)
+	s.ReportMaterialized(ViewInfo{PreciseSig: "p1", NormSig: "n1", Path: "/v/1", Rows: 42, ExpiresAt: 100})
+	state := func() string {
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		a, v, l, lookups, proposals := s.Stats()
+		return fmt.Sprintf("%s|%d %d %d %d %d", buf.String(), a, v, l, lookups, proposals)
+	}
+	before := state()
+	// Valid JSON up to its end, so only the size can be at fault.
+	huge := `{"NormSig":"n2","PreciseSig":"p2","JobID":"` +
+		strings.Repeat("x", maxRequestBytes) + `"}`
+	h := Handler(s)
+	for _, path := range []string{"/load", "/propose", "/report", "/abort"} {
+		for _, tc := range []struct {
+			body string
+			want int
+		}{
+			{huge, http.StatusRequestEntityTooLarge},
+			{`{"NormSig": "n2",`, http.StatusBadRequest},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(tc.body)))
+			if rec.Code != tc.want {
+				t.Errorf("%s with a %d-byte body: status %d, want %d", path, len(tc.body), rec.Code, tc.want)
+			}
+		}
+	}
+	if after := state(); after != before {
+		t.Errorf("rejected requests changed the service state:\nbefore %s\nafter  %s", before, after)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // BenchmarkTraceEmit prices building a realistic job trace (a submit root
 // with an execute span holding 24 vertex children) and exporting it as
 // normalized JSON — the full per-job tracing cost excluding the job
-// itself. scripts/bench.sh records it in BENCH_obs.json.
+// itself.
 func BenchmarkTraceEmit(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -30,7 +30,7 @@ func BenchmarkTraceEmit(b *testing.B) {
 
 // BenchmarkSnapshot prices one Registry.Snapshot over a service-sized
 // instrument population (32 counters, 8 gauges, 4 histograms) — the cost
-// a monitoring poll pays. scripts/bench.sh records it in BENCH_obs.json.
+// a monitoring poll pays.
 func BenchmarkSnapshot(b *testing.B) {
 	r := NewRegistry()
 	for i := 0; i < 32; i++ {

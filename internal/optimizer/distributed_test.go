@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -66,7 +67,7 @@ func TestDistributedOptimizersOverHTTP(t *testing.T) {
 		}
 	}
 	p, _ := env.opt.Optimize(pipeline("g1").Output("o"), winnerJob, anns, 0)
-	if _, err := env.ex.Run(p, winnerJob, 0); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p, winnerJob, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	v, err := env.st.Get(winner.ViewsBuilt[0].Path)
@@ -85,7 +86,7 @@ func TestDistributedOptimizersOverHTTP(t *testing.T) {
 	if len(d2.ViewsUsed) != 1 {
 		t.Fatalf("machine B did not reuse: %+v", d2)
 	}
-	res, err := env.ex.Run(p2, "jobB2", 1)
+	res, err := env.ex.RunCtx(context.Background(), p2, "jobB2", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"testing"
 
 	"cloudviews/internal/catalog"
@@ -118,7 +119,7 @@ func TestFirstJobBuildsSecondJobReuses(t *testing.T) {
 	if d1.ViewsBuilt[0].PreciseSig != sig.Precise {
 		t.Error("built wrong signature")
 	}
-	res1, err := env.ex.Run(p1, "job1", 0)
+	res1, err := env.ex.RunCtx(context.Background(), p1, "job1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestFirstJobBuildsSecondJobReuses(t *testing.T) {
 	if len(d2.ViewsUsed) != 1 || len(d2.ViewsBuilt) != 0 {
 		t.Fatalf("job2 decision: used=%d built=%d", len(d2.ViewsUsed), len(d2.ViewsBuilt))
 	}
-	res2, err := env.ex.Run(p2, "job2", 1)
+	res2, err := env.ex.RunCtx(context.Background(), p2, "job2", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestNewInstanceDoesNotMatchOldView(t *testing.T) {
 
 	// Build the view for GUID g1.
 	p1, d1 := env.opt.Optimize(pipeline("g1").Output("o"), "job1", anns, 0)
-	if _, err := env.ex.Run(p1, "job1", 0); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p1, "job1", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := env.st.Get(d1.ViewsBuilt[0].Path)
@@ -188,7 +189,7 @@ func TestNewInstanceDoesNotMatchOldView(t *testing.T) {
 	if len(d2.ViewsBuilt) != 1 {
 		t.Fatal("new instance should build its own view")
 	}
-	if _, err := env.ex.Run(p2, "job2", 1); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p2, "job2", 1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -215,7 +216,7 @@ func TestCostBasedRejection(t *testing.T) {
 		t.Error("must not rebuild existing view")
 	}
 	// The job still runs fine (recomputes).
-	if _, err := env.ex.Run(p, "job", 0); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p, "job", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -256,7 +257,7 @@ func TestPerJobMaterializationLimit(t *testing.T) {
 		t.Fatalf("built %d views, want 2", len(d2.ViewsBuilt))
 	}
 	// Nested materializations execute correctly.
-	res, err := env2.ex.Run(p2, "job", 0)
+	res, err := env2.ex.RunCtx(context.Background(), p2, "job", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +302,7 @@ func TestMaterializeEnforcesAnnotatedPhysicalDesign(t *testing.T) {
 	annotate(t, env, agg, false)
 	anns := env.meta.RelevantViews("vc1", []string{"logs"})
 	p, d := env.opt.Optimize(agg.Output("o"), "job", anns, 0)
-	if _, err := env.ex.Run(p, "job", 0); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p, "job", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	v, err := env.st.Get(d.ViewsBuilt[0].Path)
@@ -324,7 +325,7 @@ func TestOfflineViewPlans(t *testing.T) {
 		t.Fatalf("offline plans = %d, intents = %d", len(plans), len(intents))
 	}
 	// The offline plan materializes the view without running the full job.
-	res, err := env.ex.Run(plans[0], "offline-job", 0)
+	res, err := env.ex.RunCtx(context.Background(), plans[0], "offline-job", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +435,7 @@ func TestOptimizeIdempotent(t *testing.T) {
 	annotate(t, env, agg, false)
 	anns := env.meta.RelevantViews("vc1", []string{"logs"})
 	p1, _ := env.opt.Optimize(pipeline("g1").Output("o"), "job1", anns, 0)
-	if _, err := env.ex.Run(p1, "job1", 0); err != nil {
+	if _, err := env.ex.RunCtx(context.Background(), p1, "job1", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := env.st.Get(storageLookup(env, t))

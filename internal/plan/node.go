@@ -9,6 +9,7 @@ package plan
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"cloudviews/internal/data"
 	"cloudviews/internal/expr"
@@ -196,19 +197,47 @@ type Node struct {
 	MatNormSig    string
 	MatProps      PhysicalProps // physical design enforced for the view
 
-	schema data.Schema // memoized derived schema
+	// schema memoizes the derived schema. It is atomic because concurrent
+	// jobs may share plan nodes and derive it at the same time.
+	schema atomic.Pointer[data.Schema]
 }
 
 // Child returns the i-th input.
 func (n *Node) Child(i int) *Node { return n.Children[i] }
 
-// Schema derives (and memoizes) the output schema of the operator.
+// Schema derives (and memoizes) the output schema of the operator. It is
+// safe to call from concurrent goroutines.
 func (n *Node) Schema() data.Schema {
-	if n.schema != nil {
-		return n.schema
+	if s := n.schema.Load(); s != nil {
+		return *s
 	}
-	n.schema = n.deriveSchema()
-	return n.schema
+	s := n.deriveSchema()
+	n.schema.Store(&s)
+	return s
+}
+
+// shallowCopy returns a copy of n with the same Children slice and an
+// empty schema memo. The fields are listed one by one instead of copying
+// *n, because another goroutine may be storing n's memo meanwhile.
+func (n *Node) shallowCopy() *Node {
+	return &Node{
+		Kind: n.Kind, Children: n.Children,
+		Table: n.Table, GUID: n.GUID, TableSchema: n.TableSchema,
+		Pred:  n.Pred,
+		Exprs: n.Exprs, Names: n.Names,
+		LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
+		GroupBy: n.GroupBy, Aggs: n.Aggs,
+		SortKeys: n.SortKeys, Desc: n.Desc,
+		Part:    n.Part,
+		N:       n.N,
+		UDOName: n.UDOName, UDOCodeHash: n.UDOCodeHash,
+		OutputName: n.OutputName,
+		ViewPath:   n.ViewPath, ViewSchema: n.ViewSchema,
+		ViewPreciseSig: n.ViewPreciseSig, ViewNormSig: n.ViewNormSig,
+		ViewRows: n.ViewRows, ViewBytes: n.ViewBytes,
+		MatPath: n.MatPath, MatPreciseSig: n.MatPreciseSig,
+		MatNormSig: n.MatNormSig, MatProps: n.MatProps,
+	}
 }
 
 func (n *Node) deriveSchema() data.Schema {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"testing"
 
 	"cloudviews/internal/data"
@@ -283,5 +284,53 @@ func TestNodeStrings(t *testing.T) {
 	}
 	if PartHash.String() != "hash" {
 		t.Error("PartitionKind names wrong")
+	}
+}
+
+// TestShallowCopyCopiesEveryField fails when a Node field is added
+// without being added to shallowCopy's field list.
+func TestShallowCopyCopiesEveryField(t *testing.T) {
+	var n Node
+	v := reflect.ValueOf(&n).Elem()
+	var fill func(f reflect.Value)
+	fill = func(f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(1)
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		case reflect.Struct:
+			fill(f.Field(0))
+		case reflect.Interface:
+			f.Set(reflect.ValueOf(expr.C(0, "c")))
+		default:
+			t.Fatalf("no filler for field kind %v", f.Kind())
+		}
+	}
+	typ := v.Type()
+	for i := 0; i < v.NumField(); i++ {
+		if !typ.Field(i).IsExported() {
+			continue // the schema memo, which a copy starts empty
+		}
+		fill(v.Field(i))
+		if v.Field(i).IsZero() {
+			t.Fatalf("field %s still zero after fill", typ.Field(i).Name)
+		}
+	}
+	memo := data.Schema{{Name: "c"}}
+	n.schema.Store(&memo)
+	cp := reflect.ValueOf(n.shallowCopy()).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if !typ.Field(i).IsExported() {
+			continue
+		}
+		if !reflect.DeepEqual(cp.Field(i).Interface(), v.Field(i).Interface()) {
+			t.Errorf("shallowCopy drops field %s", typ.Field(i).Name)
+		}
+	}
+	if n.shallowCopy().schema.Load() != nil {
+		t.Error("shallowCopy carried the schema memo over")
 	}
 }

@@ -48,14 +48,13 @@ func Clone(n *Node) *Node {
 		if c, ok := memo[m]; ok {
 			return c
 		}
-		cp := *m
-		cp.schema = nil
+		cp := m.shallowCopy()
 		cp.Children = make([]*Node, len(m.Children))
-		memo[m] = &cp
+		memo[m] = cp
 		for i, ch := range m.Children {
 			cp.Children[i] = rec(ch)
 		}
-		return &cp
+		return cp
 	}
 	return rec(n)
 }
@@ -66,10 +65,9 @@ func Clone(n *Node) *Node {
 // swaps individual children on the copy while the original node — and
 // every untouched subtree — stays shared and unmodified.
 func (n *Node) CopyWithChildren() *Node {
-	cp := *n
-	cp.schema = nil
+	cp := n.shallowCopy()
 	cp.Children = append([]*Node(nil), n.Children...)
-	return &cp
+	return cp
 }
 
 // Rewrite applies fn bottom-up: children are rewritten first, then fn may
@@ -86,13 +84,12 @@ func Rewrite(n *Node, fn func(*Node) *Node) *Node {
 		if r, ok := memo[m]; ok {
 			return r
 		}
-		cp := *m
-		cp.schema = nil
+		cp := m.shallowCopy()
 		cp.Children = make([]*Node, len(m.Children))
 		for i, ch := range m.Children {
 			cp.Children[i] = rec(ch)
 		}
-		r := fn(&cp)
+		r := fn(cp)
 		memo[m] = r
 		return r
 	}

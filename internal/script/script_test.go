@@ -1,6 +1,7 @@
 package script
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -73,7 +74,7 @@ func TestCompileAndExecuteFullScript(t *testing.T) {
 		t.Errorf("params = %v", c.Params)
 	}
 	ex := &exec.Executor{Catalog: cat, Store: storage.NewStore()}
-	res, err := ex.Run(root, "job", 0)
+	res, err := ex.RunCtx(context.Background(), root, "job", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ OUTPUT proj TO o;
 		t.Fatalf("schema = %q", sch)
 	}
 	ex := &exec.Executor{Catalog: cat, Store: storage.NewStore()}
-	res, err := ex.Run(root, "j", 0)
+	res, err := ex.RunCtx(context.Background(), root, "j", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ OUTPUT r TO o;
 		t.Errorf("code hash = %q", proc.UDOCodeHash)
 	}
 	ex := &exec.Executor{Catalog: cat, Store: storage.NewStore()}
-	if _, err := ex.Run(root, "j", 0); err != nil {
+	if _, err := ex.RunCtx(context.Background(), root, "j", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -199,7 +200,7 @@ OUTPUT f TO o;
 	}
 	root, _ := c.Root()
 	ex := &exec.Executor{Catalog: cat, Store: storage.NewStore()}
-	if _, err := ex.Run(root, "j", 0); err != nil {
+	if _, err := ex.RunCtx(context.Background(), root, "j", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Negative literal and modulo.
@@ -341,7 +342,7 @@ OUTPUT o TO out;
 	}
 	root, _ := c.Root()
 	ex := &exec.Executor{Catalog: cat, Store: storage.NewStore()}
-	if _, err := ex.Run(root, "j", 0); err != nil {
+	if _, err := ex.RunCtx(context.Background(), root, "j", 0, 0); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,7 +13,7 @@ import (
 func TestCacheHitServesSameDecode(t *testing.T) {
 	s := NewStore()
 	v := write(t, s, "hot", 32, 100)
-	_, first, err := s.Consume(v.Path)
+	_, first, err := s.ConsumeCtx(context.Background(), v.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestCacheHitServesSameDecode(t *testing.T) {
 	if st.Bytes != v.LogicalBytes {
 		t.Errorf("cache gauge %d bytes, want logical %d", st.Bytes, v.LogicalBytes)
 	}
-	_, second, err := s.Consume(v.Path)
+	_, second, err := s.ConsumeCtx(context.Background(), v.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestCacheDisabledAndResize(t *testing.T) {
 	}
 	s.SetCacheBudget(-1)
 	v := write(t, s, "nc", 16, 100)
-	if _, _, err := s.Consume(v.Path); err != nil {
+	if _, _, err := s.ConsumeCtx(context.Background(), v.Path); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.CacheStats(); st.Entries != 0 {
@@ -55,7 +56,7 @@ func TestCacheDisabledAndResize(t *testing.T) {
 	}
 	// Re-enabling starts empty and admits on the next consume.
 	s.SetCacheBudget(DefaultCacheBudget)
-	if _, _, err := s.Consume(v.Path); err != nil {
+	if _, _, err := s.ConsumeCtx(context.Background(), v.Path); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.CacheStats(); st.Entries != 1 {
@@ -78,7 +79,7 @@ func TestCacheEvictsLowestUtility(t *testing.T) {
 	s.SetCacheBudget(v1.LogicalBytes*2 + 1)
 	paths := []string{PathFor("e1", "job-e1"), PathFor("e2", "job-e2"), PathFor("e3", "job-e3")}
 	for _, p := range paths {
-		if _, _, err := s.Consume(p); err != nil {
+		if _, _, err := s.ConsumeCtx(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +92,7 @@ func TestCacheEvictsLowestUtility(t *testing.T) {
 	}
 	// Everything still decodes correctly whether cached or evicted.
 	for _, p := range paths {
-		if _, parts, err := s.Consume(p); err != nil || len(parts[0]) != 64 {
+		if _, parts, err := s.ConsumeCtx(context.Background(), p); err != nil || len(parts[0]) != 64 {
 			t.Fatalf("consume %s after eviction pressure: %v", p, err)
 		}
 	}
@@ -108,7 +109,7 @@ func TestCacheRejectsOversizedEntry(t *testing.T) {
 	// A budget smaller than the decoded entry: never admitted, nothing
 	// else evicted for it.
 	s.SetCacheBudget(v.LogicalBytes / 2)
-	if _, _, err := s.Consume(v.Path); err != nil {
+	if _, _, err := s.ConsumeCtx(context.Background(), v.Path); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.CacheStats(); st.Entries != 0 {
@@ -121,7 +122,7 @@ func TestDeleteDropsCacheEntry(t *testing.T) {
 	v := write(t, s, "d1", 8, 100)
 	write(t, s, "d2", 8, 0) // expired
 	for _, p := range []string{v.Path, PathFor("d2", "job-d2")} {
-		if _, _, err := s.Consume(p); err != nil {
+		if _, _, err := s.ConsumeCtx(context.Background(), p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +150,7 @@ func TestConsumeCacheConcurrent(t *testing.T) {
 	for i := 0; i < views; i++ {
 		sig := fmt.Sprintf("cc%d", i)
 		parts := [][]data.Row{{{data.Int(int64(i)), data.String_(sig)}}}
-		if _, err := s.Write(mkView(sig, 1000), parts); err != nil {
+		if _, err := s.WriteCtx(context.Background(), mkView(sig, 1000), parts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +163,7 @@ func TestConsumeCacheConcurrent(t *testing.T) {
 				idx := (g + i) % views
 				sig := fmt.Sprintf("cc%d", idx)
 				path := PathFor(sig, "job-"+sig)
-				_, parts, err := s.Consume(path)
+				_, parts, err := s.ConsumeCtx(context.Background(), path)
 				if err != nil {
 					var nf *NotFoundError
 					if !errors.As(err, &nf) {
@@ -180,7 +181,7 @@ func TestConsumeCacheConcurrent(t *testing.T) {
 					v := mkView(sig, 1000)
 					v.Path = path
 					freshParts := [][]data.Row{{{data.Int(int64(idx)), data.String_(sig)}}}
-					if _, err := s.Write(v, freshParts); err != nil {
+					if _, err := s.WriteCtx(context.Background(), v, freshParts); err != nil {
 						t.Errorf("rewrite: %v", err)
 					}
 				}

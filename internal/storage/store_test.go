@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -29,11 +30,11 @@ func mkView(sig string, expiry int64) *View {
 	}
 }
 
-// write is the test shorthand for Write(mkView(...), mkParts(rows)).
+// write is the test shorthand for WriteCtx(ctx, mkView(...), mkParts(rows)).
 func write(t *testing.T, s *Store, sig string, rows int, expiry int64) *View {
 	t.Helper()
 	v := mkView(sig, expiry)
-	if created, err := s.Write(v, mkParts(rows)); err != nil || !created {
+	if created, err := s.WriteCtx(context.Background(), v, mkParts(rows)); err != nil || !created {
 		t.Fatalf("write %s: created=%v err=%v", sig, created, err)
 	}
 	return v
@@ -92,7 +93,7 @@ func TestDuplicateWrites(t *testing.T) {
 	// Same path, same signature, same producer: the producer's own retry
 	// (its vertex crashed after the write landed). Idempotent, not an
 	// error — the installed copy stands.
-	if created, err := s.Write(mkView("sig1", 10), mkParts(1)); err != nil || created {
+	if created, err := s.WriteCtx(context.Background(), mkView("sig1", 10), mkParts(1)); err != nil || created {
 		t.Errorf("producer retry: created=%v err=%v, want false, nil", created, err)
 	}
 	if s.Len() != 1 {
@@ -101,7 +102,7 @@ func TestDuplicateWrites(t *testing.T) {
 	// Same path, different signature: a genuine collision is a hard error.
 	clash := mkView("sig2", 10)
 	clash.Path = first.Path
-	if _, err := s.Write(clash, mkParts(1)); err == nil {
+	if _, err := s.WriteCtx(context.Background(), clash, mkParts(1)); err == nil {
 		t.Error("conflicting duplicate path accepted")
 	}
 	// Same signature, different path: a takeover builder losing the
@@ -109,7 +110,7 @@ func TestDuplicateWrites(t *testing.T) {
 	// the losing copy must be discarded.
 	v := mkView("sig1", 10)
 	v.Path = "/views/other"
-	if created, err := s.Write(v, mkParts(1)); err != nil || created {
+	if created, err := s.WriteCtx(context.Background(), v, mkParts(1)); err != nil || created {
 		t.Errorf("lost race: created=%v err=%v, want false, nil", created, err)
 	}
 	if s.Len() != 1 || s.LookupPrecise("sig1").Path != first.Path {
@@ -186,7 +187,7 @@ func TestConcurrentStoreOps(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				sig := fmt.Sprintf("g%d-%d", g, i)
-				if _, err := s.Write(mkView(sig, int64(i)), mkParts(1)); err != nil {
+				if _, err := s.WriteCtx(context.Background(), mkView(sig, int64(i)), mkParts(1)); err != nil {
 					t.Errorf("write: %v", err)
 				}
 				s.LookupPrecise(sig)
@@ -219,7 +220,7 @@ func TestConsumeVerifiesChecksum(t *testing.T) {
 	if v.Checksum == 0 {
 		t.Fatal("Write recorded no checksum")
 	}
-	got, parts, err := s.Consume(v.Path)
+	got, parts, err := s.ConsumeCtx(context.Background(), v.Path)
 	if err != nil || got != v {
 		t.Fatalf("Consume = %v, %v", got, err)
 	}
@@ -232,7 +233,7 @@ func TestConsumeVerifiesChecksum(t *testing.T) {
 		}
 	}
 	// Second consume hits the hot cache and serves the same decoded rows.
-	_, again, err := s.Consume(v.Path)
+	_, again, err := s.ConsumeCtx(context.Background(), v.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestConsumeVerifiesChecksum(t *testing.T) {
 	}
 	// A missing path is a typed NotFoundError.
 	var nf *NotFoundError
-	if _, _, err := s.Consume("/nope"); !errors.As(err, &nf) {
+	if _, _, err := s.ConsumeCtx(context.Background(), "/nope"); !errors.As(err, &nf) {
 		t.Fatalf("Consume missing = %v, want NotFoundError", err)
 	}
 }
@@ -250,7 +251,7 @@ func TestCorruptWriteDetectedOnConsume(t *testing.T) {
 	s := NewStore()
 	s.Faults = &stubFaults{corrupt: true}
 	v := mkView("bad", 100)
-	created, err := s.Write(v, mkParts(8))
+	created, err := s.WriteCtx(context.Background(), v, mkParts(8))
 	if err != nil || !created {
 		t.Fatalf("corrupted write should still succeed silently: %v %v", created, err)
 	}
@@ -260,19 +261,19 @@ func TestCorruptWriteDetectedOnConsume(t *testing.T) {
 	if checksumEncoded(v.Encoded) == v.Checksum {
 		t.Fatal("corrupt write left payload matching its checksum")
 	}
-	// The raw accessor returns the view; only Consume verifies.
+	// The raw accessor returns the view; only ConsumeCtx verifies.
 	if _, err := s.Get(v.Path); err != nil {
 		t.Fatal(err)
 	}
 	var ce *CorruptError
-	if _, _, err := s.Consume(v.Path); !errors.As(err, &ce) {
+	if _, _, err := s.ConsumeCtx(context.Background(), v.Path); !errors.As(err, &ce) {
 		t.Fatalf("Consume corrupt = %v, want CorruptError", err)
 	}
 	if ce.Path != v.Path || ce.PreciseSig != "bad" {
 		t.Errorf("CorruptError carries %q/%q", ce.Path, ce.PreciseSig)
 	}
 	// Corruption is sticky: a later consume still fails (no false cache).
-	if _, _, err := s.Consume(v.Path); !errors.As(err, &ce) {
+	if _, _, err := s.ConsumeCtx(context.Background(), v.Path); !errors.As(err, &ce) {
 		t.Error("corrupt view passed verification on retry")
 	}
 	if len(s.CachedPaths()) != 0 {
@@ -286,23 +287,23 @@ func TestInjectedReadAndWriteFaults(t *testing.T) {
 	s.Faults = f
 
 	f.writeErr = errInjected{}
-	if _, err := s.Write(mkView("w", 10), mkParts(2)); err == nil {
+	if _, err := s.WriteCtx(context.Background(), mkView("w", 10), mkParts(2)); err == nil {
 		t.Fatal("write fault not surfaced")
 	}
 	if s.Len() != 0 {
 		t.Fatal("failed write left state behind")
 	}
 	f.writeErr = nil
-	if _, err := s.Write(mkView("w", 10), mkParts(2)); err != nil {
+	if _, err := s.WriteCtx(context.Background(), mkView("w", 10), mkParts(2)); err != nil {
 		t.Fatal("retried write should succeed")
 	}
 
 	f.readErr = errInjected{}
-	if _, _, err := s.Consume(PathFor("w", "job-w")); err == nil {
+	if _, _, err := s.ConsumeCtx(context.Background(), PathFor("w", "job-w")); err == nil {
 		t.Fatal("read fault not surfaced")
 	}
 	f.readErr = nil
-	if _, _, err := s.Consume(PathFor("w", "job-w")); err != nil {
+	if _, _, err := s.ConsumeCtx(context.Background(), PathFor("w", "job-w")); err != nil {
 		t.Fatalf("retried read failed: %v", err)
 	}
 }
@@ -360,13 +361,13 @@ func TestMultiPartitionRoundTrip(t *testing.T) {
 		parts[p] = rows
 	}
 	v := mkView("multi", 100)
-	if _, err := s.Write(v, parts); err != nil {
+	if _, err := s.WriteCtx(context.Background(), v, parts); err != nil {
 		t.Fatal(err)
 	}
 	if v.PartitionCount() != 64 {
 		t.Fatalf("PartitionCount = %d", v.PartitionCount())
 	}
-	_, got, err := s.Consume(v.Path)
+	_, got, err := s.ConsumeCtx(context.Background(), v.Path)
 	if err != nil {
 		t.Fatal(err)
 	}

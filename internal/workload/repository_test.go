@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"cloudviews/internal/catalog"
@@ -37,7 +38,7 @@ func meta(job string, instance int64) JobMeta {
 
 func TestRecordReconcilesPlanWithStats(t *testing.T) {
 	e, p := setup(t)
-	res, err := e.Run(p, "j1", 0)
+	res, err := e.RunCtx(context.Background(), p, "j1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestWindowFilter(t *testing.T) {
 	e, p := setup(t)
 	repo := NewRepository()
 	for i := int64(0); i < 3; i++ {
-		res, err := e.Run(p, "j", i)
+		res, err := e.RunCtx(context.Background(), p, "j", i, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func TestSameTemplateSharesNormalizedSigAcrossInstances(t *testing.T) {
 			Output("o")
 	}
 	p1 := mk("g1")
-	res1, err := e.Run(p1, "j1", 0)
+	res1, err := e.RunCtx(context.Background(), p1, "j1", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSameTemplateSharesNormalizedSigAcrossInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2 := mk("g2")
-	res2, err := e.Run(p2, "j2", 1)
+	res2, err := e.RunCtx(context.Background(), p2, "j2", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestSameTemplateSharesNormalizedSigAcrossInstances(t *testing.T) {
 func TestInputPeriods(t *testing.T) {
 	e, p := setup(t)
 	repo := NewRepository()
-	res, err := e.Run(p, "daily", 0)
+	res, err := e.RunCtx(context.Background(), p, "daily", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestInputPeriods(t *testing.T) {
 	repo.Record(m1, p, res)
 	m2 := meta("weekly", 0)
 	m2.Period = 7
-	res2, err := e.Run(p, "weekly", 0)
+	res2, err := e.RunCtx(context.Background(), p, "weekly", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
