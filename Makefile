@@ -14,7 +14,8 @@ race:
 chaos:
 	CHAOS_ROUNDS=$${CHAOS_ROUNDS:-25} go test -race -run='TestChaosSoak' -count=1 -v ./internal/core/
 
-# Micro-benchmarks: every Benchmark* function, with allocations. The end-to-end
-# benchmark is bash e2ebench/run.sh (see BENCHMARK.json).
+# Micro-benchmarks: every Benchmark* function, with allocations, at 1 and 2
+# CPUs. The end-to-end benchmark is bash e2ebench/run.sh (see BENCHMARK.json);
+# the paper's figures are the cloudviews subcommands.
 bench:
-	go test -run='^$$' -bench=. -benchmem ./...
+	go test -run='^$$' -bench=. -benchmem -cpu=1,2 ./...

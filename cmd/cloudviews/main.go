@@ -1,20 +1,31 @@
-// Command cloudviews is the admin interface of paper §5.5: it runs the
+// Command cloudviews is the single driver of this repository.
+//
+// With no subcommand it is the admin interface of paper §5.5: it runs the
 // CloudViews analyzer over a cluster's workload with custom constraints,
 // prints the overlap summary, drills into the most overlapping
 // computations (the Power BI dashboard stand-in), and emits the selected
-// annotations and job-coordination hints.
-//
-// The workload is a generated cluster (this repository's substitute for a
-// SCOPE workload repository); all analyzer knobs are exposed:
+// annotations and job-coordination hints. The workload is a generated
+// cluster (this repository's substitute for a SCOPE workload repository);
+// all analyzer knobs are exposed:
 //
 //	cloudviews -templates 200 -topk 10 -minfreq 3 -ratio 0.2
 //	cloudviews -vc bu0_vc1 -strategy pack -budget 1000000
 //	cloudviews -drilldown 20
+//
+// With a subcommand it regenerates one part of the paper's evaluation at
+// the committed paper configuration:
+//
+//	cloudviews overlap    # Figures 1–5: workload overlap (§2)
+//	cloudviews prod       # Figures 11–12: production reuse (§7.1)
+//	cloudviews tpcds      # Figure 13: TPC-DS reuse (§7.2)
+//	cloudviews overheads  # §7.3 analyzer, lookup and optimizer overheads
+//	cloudviews ablations  # the design-choice ablations of DESIGN.md
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -26,10 +37,65 @@ import (
 	"cloudviews/internal/workload"
 )
 
+// experiments maps each subcommand to the run that prints it.
+var experiments = map[string]func(io.Writer) error{
+	"overlap":   overlap,
+	"prod":      render(bench.RunProduction, bench.WriteProd),
+	"tpcds":     render(bench.RunTPCDS, bench.WriteTPCDS),
+	"overheads": render(bench.RunOverheads, bench.WriteOverheads),
+	"ablations": render(bench.RunAblations, bench.WriteAblations),
+}
+
+// render pairs an experiment with its renderer.
+func render[T any](run func() (T, error), write func(io.Writer, T)) func(io.Writer) error {
+	return func(w io.Writer) error {
+		r, err := run()
+		if err != nil {
+			return err
+		}
+		write(w, r)
+		return nil
+	}
+}
+
+// overlap prints Figures 1–5, each under a header.
+func overlap(w io.Writer) error {
+	figures := []func(io.Writer) error{
+		render(bench.Figure1, bench.WriteFigure1),
+		render(bench.Figure2, bench.WriteFigure2),
+		render(bench.Figure3, bench.WriteFigure3),
+		render(bench.Figure4, bench.WriteFigure4),
+		render(bench.Figure5, bench.WriteFigure5),
+	}
+	for i, fig := range figures {
+		fmt.Fprintf(w, "==== Figure %d ====\n", i+1)
+		if err := fig(w); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cloudviews: ")
+	if len(os.Args) > 1 {
+		if run, ok := experiments[os.Args[1]]; ok {
+			if len(os.Args) > 2 {
+				log.Fatalf("%s takes no arguments", os.Args[1])
+			}
+			if err := run(os.Stdout); err != nil {
+				log.Fatal(err)
+			}
+			return
+		}
+	}
+	admin()
+}
 
+// admin is the §5.5 admin flow.
+func admin() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	templates := flag.Int("templates", 150, "recurring templates in the cluster")
 	loadPath := flag.String("load", "", "load a saved workload repository instead of generating one")
@@ -46,7 +112,16 @@ func main() {
 	strategy := flag.String("strategy", "utility", "selection strategy: utility | density | pack | packopt")
 	budget := flag.Int64("budget", 0, "storage budget in bytes (pack strategy)")
 	drill := flag.Int("drilldown", 10, "top-N computations to drill into")
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(),
+			"usage: cloudviews [flags]\n       cloudviews overlap|prod|tpcds|overheads|ablations\n\nflags:\n")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
+	if flag.NArg() > 0 {
+		flag.Usage()
+		log.Fatalf("unknown subcommand %q", flag.Arg(0))
+	}
 
 	var repo *workload.Repository
 	if *loadPath != "" {

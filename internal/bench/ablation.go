@@ -4,20 +4,30 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"cloudviews/internal/analyzer"
+	"cloudviews/internal/catalog"
 	"cloudviews/internal/core"
 	"cloudviews/internal/metadata"
 	"cloudviews/internal/plan"
-	"cloudviews/internal/signature"
 	"cloudviews/internal/workgen"
 	"cloudviews/internal/workload"
 )
 
-// The ablation harnesses isolate the design choices DESIGN.md calls out:
-// the feedback loop, view physical design, job coordination, early
-// materialization, and the per-job view limit. Each returns the metric
-// pair "with the mechanism" vs "without".
+// The ablations isolate the design choices DESIGN.md calls out: the
+// feedback loop, view physical design, job coordination, early
+// materialization, and the per-job view limit. Each is a metric pair
+// "with the mechanism" vs "without", measured on the production profile.
+
+// Ablations holds every ablation of one production-profile run.
+type Ablations struct {
+	Feedback     FeedbackAblationResult
+	Design       DesignAblationResult
+	Coordination CoordinationAblationResult
+	EarlyMat     EarlyMatAblationResult
+	ViewLimit    ViewLimitAblationResult
+}
 
 // FeedbackAblationResult compares view selection driven by measured
 // runtime statistics (the feedback loop, §5.1) against selection driven by
@@ -28,18 +38,127 @@ type FeedbackAblationResult struct {
 	EstimatesPct     float64
 }
 
-// RunFeedbackAblation runs the production experiment twice with identical
-// workloads, swapping only the utility source.
-func RunFeedbackAblation(seed int64) (*FeedbackAblationResult, error) {
-	withStats, err := runSelectionVariant(seed, false)
+// DesignAblationResult compares consumer latency when views are laid out
+// with the analyzer-elected physical design (§5.3) vs a naive
+// single-partition layout.
+type DesignAblationResult struct {
+	ElectedLatency float64
+	NaiveLatency   float64
+}
+
+// CoordinationAblationResult compares the realized improvement when jobs
+// are submitted in the analyzer's coordinated order (§6.5: builders first)
+// vs an adversarial order (all consumers before the builder, as happens
+// with concurrent uncoordinated arrival).
+type CoordinationAblationResult struct {
+	CoordinatedPct   float64
+	UncoordinatedPct float64
+}
+
+// EarlyMatAblationResult compares recovery cost after a builder crash with
+// early materialization on vs off: with early publication the next job
+// reuses the checkpointed view; without, it recomputes and rebuilds.
+type EarlyMatAblationResult struct {
+	EarlyCPU float64
+	LateCPU  float64
+}
+
+// ViewLimitAblationResult compares realized improvement under different
+// per-job materialization limits (§6.2).
+type ViewLimitAblationResult struct {
+	// ImprovementPct maps limit -> total CPU improvement.
+	ImprovementPct map[int]float64
+}
+
+// RunAblations runs the shared steps once on the production profile —
+// generate, run instance 0 as history, deliver instance 1, run the
+// CloudViews-off baseline over it — and measures every ablation against
+// that run. It uses its own workload seed, not §7.1's.
+func RunAblations() (*Ablations, error) {
+	cfg := DefaultProdConfig()
+	cfg.Profile.Seed = 2024
+	r, err := newRecurring(cfg.Profile)
 	if err != nil {
 		return nil, err
 	}
-	withEst, err := runSelectionVariant(seed, true)
+	all := specs(r.jobs)
+	base, err := baseline(r.cat, all)
 	if err != nil {
 		return nil, err
 	}
-	return &FeedbackAblationResult{MeasuredStatsPct: withStats, EstimatesPct: withEst}, nil
+	baseCPU := totalCPU(base)
+	// savedPct runs jobs on a reuse service and returns the total CPU
+	// saved against the baseline pass, in percent.
+	savedPct := func(anns []metadata.Annotation, maxViews int, jobs []core.JobSpec) (float64, error) {
+		rs, err := runAll(reuseService(r.cat, anns, core.Config{MaxViewsPerJob: maxViews}), jobs)
+		if err != nil {
+			return 0, err
+		}
+		return (1 - totalCPU(rs)/baseCPU) * 100, nil
+	}
+	a := &Ablations{ViewLimit: ViewLimitAblationResult{ImprovementPct: map[int]float64{}}}
+
+	// Feedback loop (§5.1) and job coordination (§6.5), over the paper's
+	// top-3 selection.
+	top, err := analyze(r.hist, cfg.analysis())
+	if err != nil {
+		return nil, err
+	}
+	if a.Feedback.MeasuredStatsPct, err = savedPct(top.Annotations, 1, all); err != nil {
+		return nil, err
+	}
+	estCfg := cfg.analysis()
+	estCfg.UseEstimates = true
+	estCfg.EstimateCost = naiveEstimate
+	estCfg.MinCostRatio = 0 // estimate-based ratios are incomparable
+	est, err := analyze(r.hist, estCfg)
+	if err != nil {
+		return nil, err
+	}
+	if a.Feedback.EstimatesPct, err = savedPct(est.Annotations, 1, all); err != nil {
+		return nil, err
+	}
+	if a.Coordination.CoordinatedPct, err = savedPct(top.Annotations, 1, buildersFirst(all, top.JobOrder)); err != nil {
+		return nil, err
+	}
+	uncoordCPU, err := runUncoordinated(reuseService(r.cat, top.Annotations, core.Config{MaxViewsPerJob: 1}), r.jobs)
+	if err != nil {
+		return nil, err
+	}
+	a.Coordination.UncoordinatedPct = (1 - uncoordCPU/baseCPU) * 100
+
+	// Physical design (§5.3) and early materialization (§6.4), over the
+	// first two jobs that contain the top view.
+	cfg.TopViews = 1
+	one, err := analyze(r.hist, cfg.analysis())
+	if err != nil {
+		return nil, err
+	}
+	pair := specs(containing(r.jobs, one.Selected[0].NormSig, 2, nil))
+	if len(pair) < 2 {
+		return nil, errors.New("bench: not enough jobs contain the view")
+	}
+	if a.Design, err = runDesign(r.cat, one.Annotations, pair); err != nil {
+		return nil, err
+	}
+	if a.EarlyMat.EarlyCPU, err = runAfterCrash(r.cat, one.Annotations, pair, false); err != nil {
+		return nil, err
+	}
+	if a.EarlyMat.LateCPU, err = runAfterCrash(r.cat, one.Annotations, pair, true); err != nil {
+		return nil, err
+	}
+
+	// Per-job view limit (§6.2), over a wider selection.
+	wide, err := analyze(r.hist, analyzer.Config{MinFrequency: 2, MinCostRatio: 0.1, TopK: 12})
+	if err != nil {
+		return nil, err
+	}
+	for _, limit := range []int{1, 2, 4} {
+		if a.ViewLimit.ImprovementPct[limit], err = savedPct(wide.Annotations, limit, all); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
 }
 
 // naiveEstimate mimics the classic what-if-optimizer failure of §5.1:
@@ -54,268 +173,57 @@ func naiveEstimate(o workload.Observation) float64 {
 	return cost * float64(o.Ops)
 }
 
-func runSelectionVariant(seed int64, useEstimates bool) (float64, error) {
-	cfg := DefaultProdConfig()
-	cfg.Profile.Seed = seed
-	w := workgen.Generate(cfg.Profile)
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	for _, j := range w.JobsForInstance(0) {
-		if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-			return 0, err
-		}
+// runUncoordinated models uncoordinated concurrent arrival: every job is
+// optimized before any finishes, so no job sees another's views. It
+// returns the total CPU.
+func runUncoordinated(svc *core.Service, jobs []workgen.Job) (float64, error) {
+	plans := make([]*plan.Node, len(jobs))
+	for i, j := range jobs {
+		anns := svc.Meta.RelevantViews(j.Meta.VC, []string{j.Meta.TemplateID, j.Template.Input})
+		plans[i], _ = svc.Opt.Optimize(j.Root, j.Meta.JobID, anns, 0)
 	}
-	acfg := analyzer.Config{
-		MinFrequency: cfg.MinFrequency,
-		MinCostRatio: cfg.MinCostRatio,
-		MaxPerJob:    1,
-		TopK:         cfg.TopViews,
-	}
-	if useEstimates {
-		acfg.UseEstimates = true
-		acfg.EstimateCost = naiveEstimate
-		acfg.MinCostRatio = 0 // estimate-based ratios are incomparable
-	}
-	an := analyzer.New(hist.Repo).Analyze(acfg)
-	if len(an.Selected) == 0 {
-		return 0, errors.New("bench: ablation selected no views")
-	}
-
-	// Consumer instance: run every job, annotations loaded; measure the
-	// realized total CPU against a baseline pass.
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-	base := core.NewService(w.Catalog, core.Config{Enabled: false})
-	var baseCPU float64
-	for _, j := range jobs {
-		r, err := base.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
+	var cpu float64
+	for i, j := range jobs {
+		res, err := svc.Exec.RunCtx(context.Background(), plans[i], j.Meta.JobID, 0, 0)
 		if err != nil {
 			return 0, err
 		}
-		baseCPU += r.Result.TotalCPU
+		cpu += res.TotalCPU
 	}
-	cv := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1})
-	cv.Meta.LoadAnalysis(an.Annotations)
-	var cvCPU float64
-	for _, j := range jobs {
-		r, err := cv.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-		if err != nil {
-			return 0, err
-		}
-		cvCPU += r.Result.TotalCPU
-	}
-	return (1 - cvCPU/baseCPU) * 100, nil
+	return cpu, nil
 }
 
-// DesignAblationResult compares consumer latency when views are laid out
-// with the analyzer-elected physical design (§5.3) vs a naive
-// single-partition layout.
-type DesignAblationResult struct {
-	ElectedLatency float64
-	NaiveLatency   float64
-}
-
-// RunPhysicalDesignAblation builds the same view twice — once with the
-// elected design, once gathered to one partition — and measures a
-// consumer's simulated latency against each. A single-partition view
-// collapses the consumer's downstream parallelism, which is exactly why
-// §5.3 says poorly designed views end up unused.
-func RunPhysicalDesignAblation(seed int64) (*DesignAblationResult, error) {
-	cfg := DefaultProdConfig()
-	cfg.Profile.Seed = seed
-	w := workgen.Generate(cfg.Profile)
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	for _, j := range w.JobsForInstance(0) {
-		if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-			return nil, err
-		}
-	}
-	an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-		MinFrequency: cfg.MinFrequency, MinCostRatio: cfg.MinCostRatio,
-		MaxPerJob: 1, TopK: 1,
-	})
-	if len(an.Selected) == 0 {
-		return nil, errors.New("bench: no view selected")
-	}
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-	sel := an.Selected[0].NormSig
-	comp := signature.NewComputer()
-	var builder, consumer *workgen.Job
-	for i := range jobs {
-		if planContainsNorm(comp, jobs[i], sel) {
-			if builder == nil {
-				builder = &jobs[i]
-			} else if consumer == nil {
-				consumer = &jobs[i]
-				break
-			}
-		}
-	}
-	if consumer == nil {
-		return nil, errors.New("bench: not enough jobs contain the view")
-	}
-
-	run := func(anns []metadata.Annotation) (float64, error) {
-		svc := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1})
-		svc.Meta.LoadAnalysis(anns)
-		if _, err := svc.Run(context.Background(), core.JobSpec{Meta: builder.Meta, Root: builder.Root}); err != nil {
-			return 0, err
-		}
-		r, err := svc.Run(context.Background(), core.JobSpec{Meta: consumer.Meta, Root: consumer.Root})
+// runDesign builds the view twice — once with the elected design, once
+// gathered to one partition — and measures the consumer's simulated
+// latency against each. A single-partition view collapses the consumer's
+// downstream parallelism, which is exactly why §5.3 says poorly designed
+// views end up unused.
+func runDesign(cat *catalog.Catalog, anns []metadata.Annotation, pair []core.JobSpec) (DesignAblationResult, error) {
+	consumerLatency := func(anns []metadata.Annotation) (float64, error) {
+		rs, err := runAll(reuseService(cat, anns, core.Config{MaxViewsPerJob: 1}), pair)
 		if err != nil {
 			return 0, err
 		}
-		if len(r.Decision.ViewsUsed) == 0 {
+		if len(rs[1].Decision.ViewsUsed) == 0 {
 			return 0, errors.New("bench: consumer did not reuse")
 		}
-		return r.Result.Latency, nil
+		return rs[1].Result.Latency, nil
 	}
-
-	elected, err := run(an.Annotations)
+	elected, err := consumerLatency(anns)
 	if err != nil {
-		return nil, err
+		return DesignAblationResult{}, err
 	}
-	naiveAnns := append([]metadata.Annotation(nil), an.Annotations...)
+	naiveAnns := append([]metadata.Annotation(nil), anns...)
 	for i := range naiveAnns {
 		naiveAnns[i].Props = plan.PhysicalProps{
 			Part: plan.Partitioning{Kind: plan.PartSingleton, Count: 1},
 		}
 	}
-	naive, err := run(naiveAnns)
+	naive, err := consumerLatency(naiveAnns)
 	if err != nil {
-		return nil, err
+		return DesignAblationResult{}, err
 	}
-	return &DesignAblationResult{ElectedLatency: elected, NaiveLatency: naive}, nil
-}
-
-// CoordinationAblationResult compares the realized improvement when jobs
-// are submitted in the analyzer's coordinated order (§6.5: builders first)
-// vs an adversarial order (all consumers before the builder, as happens
-// with concurrent uncoordinated arrival).
-type CoordinationAblationResult struct {
-	CoordinatedPct   float64
-	UncoordinatedPct float64
-}
-
-// RunCoordinationAblation measures both orders on the production workload.
-func RunCoordinationAblation(seed int64) (*CoordinationAblationResult, error) {
-	cfg := DefaultProdConfig()
-	cfg.Profile.Seed = seed
-	w := workgen.Generate(cfg.Profile)
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	for _, j := range w.JobsForInstance(0) {
-		if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-			return nil, err
-		}
-	}
-	an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-		MinFrequency: cfg.MinFrequency, MinCostRatio: cfg.MinCostRatio,
-		MaxPerJob: 1, TopK: cfg.TopViews,
-	})
-	if len(an.Selected) == 0 {
-		return nil, errors.New("bench: no views selected")
-	}
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-
-	base := core.NewService(w.Catalog, core.Config{Enabled: false})
-	var baseCPU float64
-	for _, j := range jobs {
-		r, err := base.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-		if err != nil {
-			return nil, err
-		}
-		baseCPU += r.Result.TotalCPU
-	}
-
-	run := func(order []workgen.Job, concurrent bool) (float64, error) {
-		svc := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1})
-		svc.Meta.LoadAnalysis(an.Annotations)
-		var cpu float64
-		if concurrent {
-			// Uncoordinated concurrent arrival: every job is optimized
-			// before any finishes, so no job sees another's views.
-			plans := make([]*plan.Node, len(order))
-			for i, j := range order {
-				anns := svc.Meta.RelevantViews(j.Meta.VC, []string{j.Meta.TemplateID, j.Template.Input})
-				plans[i], _ = svc.Opt.Optimize(j.Root, j.Meta.JobID, anns, 0)
-			}
-			for i, j := range order {
-				res, err := svc.Exec.RunCtx(context.Background(), plans[i], j.Meta.JobID, 0, 0)
-				if err != nil {
-					return 0, err
-				}
-				cpu += res.TotalCPU
-			}
-			return cpu, nil
-		}
-		for _, j := range order {
-			r, err := svc.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-			if err != nil {
-				return 0, err
-			}
-			cpu += r.Result.TotalCPU
-		}
-		return cpu, nil
-	}
-
-	coordCPU, err := run(coordinatedJobOrder(jobs, an.JobOrder), false)
-	if err != nil {
-		return nil, err
-	}
-	uncoordCPU, err := run(jobs, true)
-	if err != nil {
-		return nil, err
-	}
-	return &CoordinationAblationResult{
-		CoordinatedPct:   (1 - coordCPU/baseCPU) * 100,
-		UncoordinatedPct: (1 - uncoordCPU/baseCPU) * 100,
-	}, nil
-}
-
-// coordinatedJobOrder puts the analyzer's builder jobs first. The hints
-// name instance-0 job IDs; recurring instances map by template.
-func coordinatedJobOrder(jobs []workgen.Job, hints []string) []workgen.Job {
-	rank := map[string]int{}
-	for i, h := range hints {
-		rank[templateOf(h)] = i + 1
-	}
-	out := append([]workgen.Job(nil), jobs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less2(out[j], out[j-1], rank); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func less2(a, b workgen.Job, rank map[string]int) bool {
-	ra, rb := rank[a.Meta.TemplateID], rank[b.Meta.TemplateID]
-	if ra == 0 {
-		ra = 1 << 30
-	}
-	if rb == 0 {
-		rb = 1 << 30
-	}
-	return ra < rb
-}
-
-// templateOf strips the instance suffix from a generated job ID.
-func templateOf(jobID string) string {
-	for i := len(jobID) - 1; i >= 0; i-- {
-		if jobID[i] == '-' {
-			return jobID[:i]
-		}
-	}
-	return jobID
-}
-
-// EarlyMatAblationResult compares recovery cost after a builder crash with
-// early materialization on vs off: with early publication the next job
-// reuses the checkpointed view; without, it recomputes and rebuilds.
-type EarlyMatAblationResult struct {
-	EarlyCPU float64
-	LateCPU  float64
+	return DesignAblationResult{ElectedLatency: elected, NaiveLatency: naive}, nil
 }
 
 // crashAtKind is an exec.FaultHook that permanently crashes the first
@@ -332,119 +240,36 @@ func (c crashAtKind) VertexDone(_, _ string, k plan.OpKind, _ int) error {
 
 func (c crashAtKind) VertexDelay(string, string, plan.OpKind) float64 { return 0 }
 
-// RunEarlyMatAblation injects a builder failure after the view seals and
-// measures the follow-up job's CPU under both publication modes.
-func RunEarlyMatAblation(seed int64) (*EarlyMatAblationResult, error) {
-	runMode := func(late bool) (float64, error) {
-		cfg := DefaultProdConfig()
-		cfg.Profile.Seed = seed
-		w := workgen.Generate(cfg.Profile)
-		hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-		for _, j := range w.JobsForInstance(0) {
-			if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-				return 0, err
-			}
-		}
-		an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-			MinFrequency: cfg.MinFrequency, MinCostRatio: cfg.MinCostRatio,
-			MaxPerJob: 1, TopK: 1,
-		})
-		if len(an.Selected) == 0 {
-			return 0, errors.New("bench: no view selected")
-		}
-		w.DeliverInstance(1)
-		jobs := w.JobsForInstance(1)
-		comp := signature.NewComputer()
-		var builder, next *workgen.Job
-		for i := range jobs {
-			if planContainsNorm(comp, jobs[i], an.Selected[0].NormSig) {
-				if builder == nil {
-					builder = &jobs[i]
-				} else {
-					next = &jobs[i]
-					break
-				}
-			}
-		}
-		if next == nil {
-			return 0, errors.New("bench: not enough relevant jobs")
-		}
-		svc := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1, LatePublish: late})
-		svc.Meta.LoadAnalysis(an.Annotations)
-		// The builder crashes right after the Materialize operator runs.
-		// The crash is permanent (not Transient), so the vertex-retry loop
-		// fails the job on the first attempt.
-		svc.Exec.Faults = crashAtKind{plan.OpMaterialize}
-		if _, err := svc.Run(context.Background(), core.JobSpec{Meta: builder.Meta, Root: builder.Root}); err == nil {
-			return 0, errors.New("bench: expected injected failure")
-		}
-		svc.Exec.Faults = nil
-		r, err := svc.Run(context.Background(), core.JobSpec{Meta: next.Meta, Root: next.Root})
-		if err != nil {
-			return 0, err
-		}
-		return r.Result.TotalCPU, nil
+// runAfterCrash crashes the pair's builder right after its view seals and
+// returns the CPU of the job that follows it, under early or late
+// publication.
+func runAfterCrash(cat *catalog.Catalog, anns []metadata.Annotation, pair []core.JobSpec, late bool) (float64, error) {
+	svc := reuseService(cat, anns, core.Config{MaxViewsPerJob: 1, LatePublish: late})
+	// The crash is permanent (not Transient), so the vertex-retry loop
+	// fails the job on the first attempt.
+	svc.Exec.Faults = crashAtKind{plan.OpMaterialize}
+	if _, err := svc.Run(context.Background(), pair[0]); err == nil {
+		return 0, errors.New("bench: expected injected failure")
 	}
-	early, err := runMode(false)
+	svc.Exec.Faults = nil
+	next, err := svc.Run(context.Background(), pair[1])
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	late, err := runMode(true)
-	if err != nil {
-		return nil, err
-	}
-	return &EarlyMatAblationResult{EarlyCPU: early, LateCPU: late}, nil
+	return next.Result.TotalCPU, nil
 }
 
-// ViewLimitAblationResult compares realized improvement under different
-// per-job materialization limits (§6.2).
-type ViewLimitAblationResult struct {
-	// ImprovementPct maps limit -> total CPU improvement.
-	ImprovementPct map[int]float64
-}
-
-// RunViewLimitAblation reruns the production workload with per-job limits
-// of 1, 2, and 4 views.
-func RunViewLimitAblation(seed int64) (*ViewLimitAblationResult, error) {
-	cfg := DefaultProdConfig()
-	cfg.Profile.Seed = seed
-	w := workgen.Generate(cfg.Profile)
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	for _, j := range w.JobsForInstance(0) {
-		if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-			return nil, err
-		}
-	}
-	an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-		MinFrequency: 2, MinCostRatio: 0.1, TopK: 12,
-	})
-	if len(an.Selected) == 0 {
-		return nil, errors.New("bench: no views selected")
-	}
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-	base := core.NewService(w.Catalog, core.Config{Enabled: false})
-	var baseCPU float64
-	for _, j := range jobs {
-		r, err := base.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-		if err != nil {
-			return nil, err
-		}
-		baseCPU += r.Result.TotalCPU
-	}
-	res := &ViewLimitAblationResult{ImprovementPct: map[int]float64{}}
-	for _, limit := range []int{1, 2, 4} {
-		svc := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: limit})
-		svc.Meta.LoadAnalysis(an.Annotations)
-		var cpu float64
-		for _, j := range jobs {
-			r, err := svc.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-			if err != nil {
-				return nil, err
-			}
-			cpu += r.Result.TotalCPU
-		}
-		res.ImprovementPct[limit] = (1 - cpu/baseCPU) * 100
-	}
-	return res, nil
+// WriteAblations renders one line per ablation, mechanism on vs off.
+func WriteAblations(w io.Writer, a *Ablations) {
+	fmt.Fprintf(w, "feedback loop (§5.1):         CPU saved %.4g%% with measured statistics, %.4g%% with compile-time estimates\n",
+		a.Feedback.MeasuredStatsPct, a.Feedback.EstimatesPct)
+	fmt.Fprintf(w, "physical design (§5.3):       consumer latency %.4g with the elected design, %.4g single-partition\n",
+		a.Design.ElectedLatency, a.Design.NaiveLatency)
+	fmt.Fprintf(w, "job coordination (§6.5):      CPU saved %.4g%% coordinated, %.4g%% uncoordinated\n",
+		a.Coordination.CoordinatedPct, a.Coordination.UncoordinatedPct)
+	fmt.Fprintf(w, "early materialization (§6.4): recovery CPU %.4g with early publication, %.4g with late\n",
+		a.EarlyMat.EarlyCPU, a.EarlyMat.LateCPU)
+	v := a.ViewLimit.ImprovementPct
+	fmt.Fprintf(w, "per-job view limit (§6.2):    CPU saved %.4g%% (limit 1), %.4g%% (limit 2), %.4g%% (limit 4)\n",
+		v[1], v[2], v[4])
 }

@@ -1,12 +1,25 @@
 package bench
 
-import "testing"
+import (
+	"bytes"
+	"sync"
+	"testing"
+)
 
-func TestFeedbackAblation(t *testing.T) {
-	r, err := RunFeedbackAblation(2024)
+// ablations runs RunAblations once for all ablation tests.
+var ablations = sync.OnceValues(RunAblations)
+
+func mustAblations(t *testing.T) *Ablations {
+	t.Helper()
+	a, err := ablations()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return a
+}
+
+func TestFeedbackAblation(t *testing.T) {
+	r := mustAblations(t).Feedback
 	// Selection by measured statistics must realize more savings than
 	// selection by the naive estimate (the §5.1 argument).
 	if r.MeasuredStatsPct <= r.EstimatesPct {
@@ -16,55 +29,39 @@ func TestFeedbackAblation(t *testing.T) {
 	if r.MeasuredStatsPct <= 0 {
 		t.Errorf("measured-stats selection saved nothing: %.1f%%", r.MeasuredStatsPct)
 	}
-	t.Logf("feedback=%.1f%% estimates=%.1f%%", r.MeasuredStatsPct, r.EstimatesPct)
 }
 
 func TestPhysicalDesignAblation(t *testing.T) {
-	r, err := RunPhysicalDesignAblation(2024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustAblations(t).Design
 	// A single-partition view collapses downstream parallelism; the
 	// elected design must yield lower consumer latency (§5.3).
 	if r.ElectedLatency >= r.NaiveLatency {
 		t.Errorf("elected design latency %.1f should beat naive %.1f",
 			r.ElectedLatency, r.NaiveLatency)
 	}
-	t.Logf("elected=%.1f naive=%.1f", r.ElectedLatency, r.NaiveLatency)
 }
 
 func TestCoordinationAblation(t *testing.T) {
-	r, err := RunCoordinationAblation(2024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustAblations(t).Coordination
 	// Coordinated submission realizes strictly more reuse than fully
 	// concurrent uncoordinated arrival (§6.5).
 	if r.CoordinatedPct <= r.UncoordinatedPct {
 		t.Errorf("coordinated %.1f%% should beat uncoordinated %.1f%%",
 			r.CoordinatedPct, r.UncoordinatedPct)
 	}
-	t.Logf("coordinated=%.1f%% uncoordinated=%.1f%%", r.CoordinatedPct, r.UncoordinatedPct)
 }
 
 func TestEarlyMatAblation(t *testing.T) {
-	r, err := RunEarlyMatAblation(2024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustAblations(t).EarlyMat
 	// After a builder crash, early materialization lets the next job
 	// read the checkpointed view; late publication forces a recompute.
 	if r.EarlyCPU >= r.LateCPU {
 		t.Errorf("early-mat recovery CPU %.1f should beat late %.1f", r.EarlyCPU, r.LateCPU)
 	}
-	t.Logf("early=%.1f late=%.1f", r.EarlyCPU, r.LateCPU)
 }
 
 func TestViewLimitAblation(t *testing.T) {
-	r, err := RunViewLimitAblation(2024)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustAblations(t).ViewLimit
 	for _, limit := range []int{1, 2, 4} {
 		if _, ok := r.ImprovementPct[limit]; !ok {
 			t.Fatalf("missing limit %d", limit)
@@ -77,6 +74,10 @@ func TestViewLimitAblation(t *testing.T) {
 		t.Errorf("limit-4 improvement %.1f%% collapsed vs limit-1 %.1f%%",
 			r.ImprovementPct[4], r.ImprovementPct[1])
 	}
-	t.Logf("limits: 1=%.1f%% 2=%.1f%% 4=%.1f%%",
-		r.ImprovementPct[1], r.ImprovementPct[2], r.ImprovementPct[4])
+}
+
+func TestWriteAblations(t *testing.T) {
+	var buf bytes.Buffer
+	WriteAblations(&buf, mustAblations(t))
+	checkGolden(t, "ablations.txt", buf.String())
 }

@@ -2,8 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"cloudviews/internal/metadata"
 )
 
 func TestFigure1Shapes(t *testing.T) {
@@ -40,9 +45,7 @@ func TestFigure1Shapes(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	WriteFigure1(&buf, rows)
-	if !strings.Contains(buf.String(), "cluster3") {
-		t.Error("rendering lost clusters")
-	}
+	checkGolden(t, "figure1.txt", buf.String())
 }
 
 func TestFigure2Shapes(t *testing.T) {
@@ -70,9 +73,7 @@ func TestFigure2Shapes(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	WriteFigure2(&buf, r)
-	if !strings.Contains(buf.String(), "Figure 2a") {
-		t.Error("rendering incomplete")
-	}
+	checkGolden(t, "figure2.txt", buf.String())
 }
 
 func TestFigure3And4And5Shapes(t *testing.T) {
@@ -124,12 +125,14 @@ func TestFigure3And4And5Shapes(t *testing.T) {
 	if float64(low)/float64(len(f5.Stats.CostRatios)) < 0.5 {
 		t.Error("cost ratio distribution not bottom-heavy")
 	}
-	var buf bytes.Buffer
-	WriteFigure3(&buf, f3)
-	WriteFigure4(&buf, f4)
-	WriteFigure5(&buf, f5)
-	if buf.Len() == 0 {
-		t.Error("rendering empty")
+	for name, write := range map[string]func(io.Writer){
+		"figure3.txt": func(w io.Writer) { WriteFigure3(w, f3) },
+		"figure4.txt": func(w io.Writer) { WriteFigure4(w, f4) },
+		"figure5.txt": func(w io.Writer) { WriteFigure5(w, f5) },
+	} {
+		var buf bytes.Buffer
+		write(&buf)
+		checkGolden(t, name, buf.String())
 	}
 }
 
@@ -147,7 +150,7 @@ func medianOf(xs []float64) float64 {
 }
 
 func TestProductionShapes(t *testing.T) {
-	r, err := RunProduction(DefaultProdConfig())
+	r, err := RunProduction()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,16 +198,14 @@ func TestProductionShapes(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	WriteProd(&buf, r)
-	if !strings.Contains(buf.String(), "Figure 11") {
-		t.Error("rendering incomplete")
-	}
+	checkGolden(t, "prod.txt", buf.String())
 }
 
 func TestTPCDSShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tpc-ds run is slow")
 	}
-	r, err := RunTPCDS(DefaultTPCDSConfig())
+	r, err := RunTPCDS()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,13 +226,11 @@ func TestTPCDSShapes(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	WriteTPCDS(&buf, r)
-	if !strings.Contains(buf.String(), "Figure 13") {
-		t.Error("rendering incomplete")
-	}
+	checkGolden(t, "tpcds.txt", buf.String())
 }
 
 func TestOverheadShapes(t *testing.T) {
-	r, err := RunOverheads(7)
+	r, err := RunOverheads()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestOverheadShapes(t *testing.T) {
 				r.OptimizePlain, r.OptimizeCreate, r.OptimizeUse)
 			break
 		}
-		if r, err = RunOverheads(7); err != nil {
+		if r, err = RunOverheads(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,5 +264,28 @@ func TestOverheadShapes(t *testing.T) {
 	WriteOverheads(&buf, r)
 	if !strings.Contains(buf.String(), "optimizer") {
 		t.Error("rendering incomplete")
+	}
+}
+
+// TestLookupCheckRejectsFailedRoundTrips pins the §7.3 lookup check: the
+// client turns an HTTP error into an empty reply, which must not pass for
+// an answer when the service holds a matching annotation.
+func TestLookupCheckRejectsFailedRoundTrips(t *testing.T) {
+	svc := metadata.NewService()
+	svc.LoadAnalysis([]metadata.Annotation{{NormSig: "n1", Tags: []string{"in1"}, Frequency: 3}})
+	tags := [][]string{{"nomatch"}, {"tpl", "in1"}}
+
+	ok := httptest.NewServer(metadata.Handler(svc))
+	defer ok.Close()
+	if err := checkLookups(ok.URL, svc, tags); err != nil {
+		t.Fatalf("working handler rejected: %v", err)
+	}
+
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	defer broken.Close()
+	if err := checkLookups(broken.URL, svc, tags); err == nil {
+		t.Fatal("a /relevant handler answering 500 passed the lookup check")
 	}
 }

@@ -1,22 +1,18 @@
 // Package bench contains the experiment harnesses that regenerate every
 // table and figure of the paper's evaluation (§2 workload analysis and §7
-// performance evaluation). Each harness returns a structured result; the
-// cmd/ binaries and the root bench_test.go render them.
+// performance evaluation). Each harness returns a structured result and
+// has a Write* renderer; cmd/cloudviews runs them as its subcommands.
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
 
 	"cloudviews/internal/analyzer"
-	"cloudviews/internal/exec"
 	"cloudviews/internal/plan"
 	"cloudviews/internal/report"
-	"cloudviews/internal/storage"
 	"cloudviews/internal/workgen"
-	"cloudviews/internal/workload"
 )
 
 // ClusterProfiles returns the five cluster configurations behind Figure 1.
@@ -43,21 +39,6 @@ func ClusterProfiles() []workgen.Profile {
 type ClusterOverlap struct {
 	Cluster string
 	Stats   *analyzer.OverlapStats
-}
-
-// RunWorkload executes one instance of every job of a generated cluster
-// and returns the populated repository.
-func RunWorkload(w *workgen.Workload, instance int64) (*workload.Repository, error) {
-	ex := &exec.Executor{Catalog: w.Catalog, Store: storage.NewStore()}
-	repo := workload.NewRepository()
-	for _, j := range w.JobsForInstance(instance) {
-		res, err := ex.RunCtx(context.Background(), j.Root, j.Meta.JobID, instance, 0)
-		if err != nil {
-			return nil, fmt.Errorf("bench: job %s: %w", j.Meta.JobID, err)
-		}
-		repo.Record(j.Meta, j.Root, res)
-	}
-	return repo, nil
 }
 
 // Figure1 measures the per-cluster overlap triple over the five profiles.

@@ -24,140 +24,65 @@ import (
 	"strings"
 	"testing"
 
-	"cloudviews/internal/analyzer"
 	"cloudviews/internal/core"
 	"cloudviews/internal/optimizer"
 	"cloudviews/internal/plan"
 	"cloudviews/internal/signature"
 	"cloudviews/internal/tpcds"
-	"cloudviews/internal/workgen"
-	"cloudviews/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite the frontend golden files")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 func TestGoldenFrontendProduction(t *testing.T) {
 	cfg := DefaultProdConfig()
-	w := workgen.Generate(cfg.Profile)
-
-	// History instance, serially: the analyzer input must be identical to
-	// RunProduction's (it is order-insensitive, but serial keeps the golden
-	// run self-contained and deterministic).
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	for _, j := range w.JobsForInstance(0) {
-		if _, err := hist.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root}); err != nil {
-			t.Fatal(err)
-		}
+	r, err := newRecurring(cfg.Profile)
+	if err != nil {
+		t.Fatal(err)
 	}
-	an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-		MinFrequency: cfg.MinFrequency,
-		MinCostRatio: cfg.MinCostRatio,
-		MaxPerJob:    1,
-		TopK:         cfg.TopViews,
-	})
-	if len(an.Selected) == 0 {
-		t.Fatal("analyzer selected no views")
+	an, err := analyze(r.hist, cfg.analysis())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-
-	// Same relevant-job picking as RunProduction: per selected view, in
-	// group order.
-	comp := signature.NewComputer()
-	var picks []workgen.Job
-	seen := map[string]bool{}
-	for g, c := range an.Selected {
-		groupCap := 0
-		if g < len(cfg.GroupSizes) {
-			groupCap = cfg.GroupSizes[g]
-		}
-		inGroup := 0
-		for _, j := range jobs {
-			if seen[j.Meta.JobID] {
-				continue
-			}
-			if planContainsNorm(comp, j, c.NormSig) {
-				picks = append(picks, j)
-				seen[j.Meta.JobID] = true
-				inGroup++
-				if groupCap > 0 && inGroup >= groupCap {
-					break
-				}
-				if cfg.MaxJobs > 0 && len(picks) >= cfg.MaxJobs {
-					break
-				}
-			}
-		}
-		if cfg.MaxJobs > 0 && len(picks) >= cfg.MaxJobs {
-			break
-		}
-	}
+	picks, _ := cfg.relevantJobs(r.jobs, an)
 	if len(picks) < 2 {
 		t.Fatalf("only %d relevant jobs", len(picks))
 	}
-
-	cv := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1})
-	cv.Meta.LoadAnalysis(an.Annotations)
-
-	var lines []string
-	for _, j := range picks {
-		lines = append(lines, sigLine(comp, j.Meta.JobID, j.Root))
-		r, err := cv.Run(context.Background(), core.JobSpec{Meta: j.Meta, Root: j.Root})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, decLine(j.Meta.JobID, r.Decision))
-	}
-	checkGolden(t, "golden_frontend_production.txt", lines)
+	cv := reuseService(r.cat, an.Annotations, core.Config{MaxViewsPerJob: 1})
+	checkGolden(t, "golden_frontend_production.txt", frontendLines(t, cv, specs(picks)))
 }
 
 func TestGoldenFrontendTPCDS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TPC-DS golden run; skipped in -short mode")
 	}
-	cfg := DefaultTPCDSConfig()
-	cat := tpcds.Generate(cfg.Scale, cfg.Seed)
-	builder := &tpcds.Builder{Cat: cat}
-	queries := builder.Queries()
-
-	meta := func(q tpcds.Query) workload.JobMeta {
-		return workload.JobMeta{
-			JobID: q.Name, Cluster: "tpcds", BusinessUnit: "tpcds",
-			VC: "tpcds_vc", User: "bench", TemplateID: q.Name, Period: 1,
-		}
+	cat := tpcds.Generate(tpcdsScale, tpcdsSeed)
+	all := tpcdsSpecs((&tpcds.Builder{Cat: cat}).Queries())
+	base := core.NewService(cat, core.Config{})
+	if _, err := runAll(base, all); err != nil {
+		t.Fatal(err)
 	}
-
-	base := core.NewService(cat, core.Config{Enabled: false})
-	for _, q := range queries {
-		if _, err := base.Run(context.Background(), core.JobSpec{Meta: meta(q), Root: q.Root}); err != nil {
-			t.Fatal(err)
-		}
+	an, err := analyze(base.Repo, tpcdsAnalysis())
+	if err != nil {
+		t.Fatal(err)
 	}
-	an := analyzer.New(base.Repo).Analyze(analyzer.Config{
-		MinFrequency: 3,
-		MinCostRatio: 0.05,
-		TopK:         cfg.TopViews,
-	})
-	if len(an.Selected) == 0 {
-		t.Fatal("analyzer selected no views")
-	}
+	cv := reuseService(cat, an.Annotations, core.Config{MaxViewsPerJob: 1})
+	checkGolden(t, "golden_frontend_tpcds.txt", frontendLines(t, cv, buildersFirst(all, an.JobOrder)))
+}
 
-	cv := core.NewService(cat, core.Config{Enabled: true, MaxViewsPerJob: 1})
-	cv.Meta.LoadAnalysis(an.Annotations)
-	order := coordinateOrder(queries, an.JobOrder)
-
+// frontendLines submits specs to svc one by one and renders each job's
+// signatures and reuse decision.
+func frontendLines(t *testing.T, svc *core.Service, specs []core.JobSpec) string {
+	t.Helper()
 	comp := signature.NewComputer()
-	var lines []string
-	for _, q := range order {
-		lines = append(lines, sigLine(comp, q.Name, q.Root))
-		r, err := cv.Run(context.Background(), core.JobSpec{Meta: meta(q), Root: q.Root})
+	var b strings.Builder
+	for _, s := range specs {
+		r, err := svc.Run(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines = append(lines, decLine(q.Name, r.Decision))
+		fmt.Fprintf(&b, "%s\n%s\n", sigLine(comp, s.Meta.JobID, s.Root), decLine(s.Meta.JobID, r.Decision))
 	}
-	checkGolden(t, "golden_frontend_tpcds.txt", lines)
+	return b.String()
 }
 
 // sigLine pins every signature of the job: the root pair verbatim plus a
@@ -197,9 +122,10 @@ func decLine(jobID string, d *optimizer.Decision) string {
 		strconv.FormatFloat(d.EstimatedCost, 'x', -1, 64))
 }
 
-func checkGolden(t *testing.T, name string, lines []string) {
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
-	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -208,7 +134,7 @@ func checkGolden(t *testing.T, name string, lines []string) {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d lines)", path, len(lines))
+		t.Logf("wrote %s", path)
 		return
 	}
 	want, err := os.ReadFile(path)

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"time"
 
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/core"
 	"cloudviews/internal/metadata"
-	"cloudviews/internal/signature"
 	"cloudviews/internal/workgen"
 )
 
@@ -36,8 +36,8 @@ type OverheadResult struct {
 }
 
 // RunOverheads measures all three §7.3 overheads on a generated workload.
-func RunOverheads(seed int64) (*OverheadResult, error) {
-	p := workgen.DefaultProfile("overheads", seed)
+func RunOverheads() (*OverheadResult, error) {
+	p := workgen.DefaultProfile("overheads", 7)
 	p.Templates = 150
 	w := workgen.Generate(p)
 	repo, err := RunWorkload(w, 0)
@@ -64,6 +64,9 @@ func RunOverheads(seed int64) (*OverheadResult, error) {
 		}
 	}
 	res.Lookups = len(tags)
+	if err := checkLookups(srv.URL, svc, tags); err != nil {
+		return nil, err
+	}
 	res.LookupAvg1Thread = lookupLatency(srv.URL, tags, 1)
 	res.LookupAvg5Threads = lookupLatency(srv.URL, tags, 5)
 
@@ -73,6 +76,26 @@ func RunOverheads(seed int64) (*OverheadResult, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// lookupVC is the VC the §7.3 lookups name. RelevantViews matches on
+// tags; the VC only marks offline annotations.
+const lookupVC = "bench_vc"
+
+// checkLookups compares each HTTP RelevantViews reply with the
+// in-process answer for the same tags. The client turns any failed round
+// trip into an empty reply, so without this check a broken /relevant
+// handler would time as a fast lookup.
+func checkLookups(url string, svc *metadata.Service, tags [][]string) error {
+	client := metadata.NewClient(url)
+	for _, tg := range tags {
+		got, want := client.RelevantViews(lookupVC, tg), svc.RelevantViews(lookupVC, tg)
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("bench: /relevant for tags %v returned %d annotations, in-process lookup %d",
+				tg, len(got), len(want))
+		}
+	}
+	return nil
 }
 
 // lookupLatency measures the mean RelevantViews round trip with the given
@@ -96,7 +119,7 @@ func lookupLatency(url string, tags [][]string, threads int) time.Duration {
 		go func(batch [][]string) {
 			defer wg.Done()
 			for _, tg := range batch {
-				client.RelevantViews("bench_vc", tg)
+				client.RelevantViews(lookupVC, tg)
 			}
 		}(tags[lo:hi])
 	}
@@ -110,18 +133,11 @@ func optimizerOverheads(w *workgen.Workload, an *analyzer.Analysis) (plain, crea
 		return 0, 0, 0, fmt.Errorf("bench: no views selected")
 	}
 	// Find a job containing the top view.
-	jobs := w.JobsForInstance(0)
-	comp := signature.NewComputer()
-	var target *workgen.Job
-	for i := range jobs {
-		if planContainsNorm(comp, jobs[i], an.Selected[0].NormSig) {
-			target = &jobs[i]
-			break
-		}
-	}
-	if target == nil {
+	found := containing(w.JobsForInstance(0), an.Selected[0].NormSig, 1, nil)
+	if len(found) == 0 {
 		return 0, 0, 0, fmt.Errorf("bench: no job contains the selected view")
 	}
+	target := found[0]
 
 	// Best-of-batches timing: the per-call work is microseconds, so GC
 	// pauses and scheduler noise dominate a single mean. The minimum
@@ -157,8 +173,7 @@ func optimizerOverheads(w *workgen.Workload, an *analyzer.Analysis) (plain, crea
 	// Create: the annotation matches and nothing is materialized yet, so
 	// every Optimize proposes the build lock (re-proposal by the same
 	// job succeeds) and wraps the subgraph in a Materialize operator.
-	svcCreate := core.NewService(w.Catalog, core.Config{Enabled: true})
-	svcCreate.Meta.LoadAnalysis(an.Annotations)
+	svcCreate := reuseService(w.Catalog, an.Annotations, core.Config{})
 	annsCreate := svcCreate.Meta.RelevantViews(target.Meta.VC, []string{target.Meta.TemplateID, target.Template.Input})
 	create = timeIt(func() {
 		svcCreate.Opt.Optimize(target.Root, "creator", annsCreate, 0)
@@ -168,9 +183,8 @@ func optimizerOverheads(w *workgen.Workload, an *analyzer.Analysis) (plain, crea
 	// and the remaining passes run over the *smaller* tree (the paper's
 	// −17% effect). Only the materialized annotation is loaded so the
 	// measurement is pure consumption, not consume-plus-build.
-	svcUse := core.NewService(w.Catalog, core.Config{Enabled: true})
-	svcUse.Meta.LoadAnalysis(an.Annotations)
-	r, err := svcUse.Run(context.Background(), core.JobSpec{Meta: target.Meta, Root: target.Root})
+	svcUse := reuseService(w.Catalog, an.Annotations, core.Config{})
+	r, err := svcUse.Run(context.Background(), specs(found)[0])
 	if err != nil {
 		return 0, 0, 0, err
 	}

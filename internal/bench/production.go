@@ -1,14 +1,12 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/core"
 	"cloudviews/internal/report"
-	"cloudviews/internal/signature"
 	"cloudviews/internal/workgen"
 )
 
@@ -54,9 +52,8 @@ type ProdConfig struct {
 	TopViews     int
 	MinFrequency int
 	MinCostRatio float64
-	MaxJobs      int
-	// GroupSizes caps how many jobs are taken per selected view; the
-	// paper's workload was 16, 12, and 4 jobs for its three views.
+	// GroupSizes is how many jobs are taken per selected view; the
+	// paper's 32-job workload was 16, 12, and 4 jobs for its three views.
 	GroupSizes []int
 }
 
@@ -77,9 +74,39 @@ func DefaultProdConfig() ProdConfig {
 		TopViews:     3,
 		MinFrequency: 3,
 		MinCostRatio: 0.4,
-		MaxJobs:      32,
 		GroupSizes:   []int{16, 12, 4},
 	}
+}
+
+// analysis is the paper's §7.1 view selection: overlaps appearing at
+// least MinFrequency times, costing at least MinCostRatio of their job, at
+// most one per job, top TopViews by utility.
+func (cfg ProdConfig) analysis() analyzer.Config {
+	return analyzer.Config{
+		MinFrequency: cfg.MinFrequency,
+		MinCostRatio: cfg.MinCostRatio,
+		MaxPerJob:    1,
+		TopK:         cfg.TopViews,
+	}
+}
+
+// relevantJobs picks the §7.1 jobs: for each selected view g in turn, up
+// to GroupSizes[g] not yet picked jobs whose plan contains it. group[i] is
+// the view index of picks[i], so each view's jobs run as one consecutive
+// sequence, as in the paper.
+func (cfg ProdConfig) relevantJobs(jobs []workgen.Job, an *analyzer.Analysis) (picks []workgen.Job, group []int) {
+	seen := map[string]bool{}
+	for g, c := range an.Selected {
+		if g >= len(cfg.GroupSizes) {
+			break
+		}
+		for _, j := range containing(jobs, c.NormSig, cfg.GroupSizes[g], seen) {
+			seen[j.Meta.JobID] = true
+			picks = append(picks, j)
+			group = append(group, g)
+		}
+	}
+	return picks, group
 }
 
 // RunProduction executes the §7.1 experiment:
@@ -91,139 +118,40 @@ func DefaultProdConfig() ProdConfig {
 //  4. run each of those jobs twice over the new instance — once with
 //     CloudViews off and once with it on, jobs ordered per view group so
 //     the first job of each group builds and the rest reuse.
-func RunProduction(cfg ProdConfig) (*ProdResult, error) {
-	w := workgen.Generate(cfg.Profile)
-
-	// History + analysis. CloudViews is off, so history jobs are fully
-	// independent and run through the concurrent pipeline; the analyzer is
-	// insensitive to repository observation order.
-	hist := core.NewService(w.Catalog, core.Config{Enabled: false})
-	histJobs := w.JobsForInstance(0)
-	histSpecs := make([]core.JobSpec, len(histJobs))
-	for i, j := range histJobs {
-		histSpecs[i] = core.JobSpec{Meta: j.Meta, Root: j.Root}
-	}
-	if _, err := hist.RunBatch(context.Background(), histSpecs, core.BatchOptions{}); err != nil {
-		return nil, err
-	}
-	an := analyzer.New(hist.Repo).Analyze(analyzer.Config{
-		MinFrequency: cfg.MinFrequency,
-		MinCostRatio: cfg.MinCostRatio,
-		MaxPerJob:    1,
-		TopK:         cfg.TopViews,
-	})
-	if len(an.Selected) == 0 {
-		return nil, fmt.Errorf("bench: analyzer selected no views; workload too sparse")
-	}
-
-	// Next instance: fresh data, same templates.
-	w.DeliverInstance(1)
-	jobs := w.JobsForInstance(1)
-
-	// Relevant jobs: those whose plan contains a selected computation,
-	// grouped by view and ordered so group members run consecutively
-	// (the paper ran each view's jobs as a sequence).
-	selectedSigs := make([]string, len(an.Selected))
-	for i, c := range an.Selected {
-		selectedSigs[i] = c.NormSig
-	}
-	type pick struct {
-		job   workgen.Job
-		group int
-	}
-	var picks []pick
-	seen := map[string]bool{}
-	comp := signature.NewComputer()
-	for g, sig := range selectedSigs {
-		groupCap := 0
-		if g < len(cfg.GroupSizes) {
-			groupCap = cfg.GroupSizes[g]
-		}
-		inGroup := 0
-		for _, j := range jobs {
-			if seen[j.Meta.JobID] {
-				continue
-			}
-			if planContainsNorm(comp, j, sig) {
-				picks = append(picks, pick{job: j, group: g})
-				seen[j.Meta.JobID] = true
-				inGroup++
-				if groupCap > 0 && inGroup >= groupCap {
-					break
-				}
-				if cfg.MaxJobs > 0 && len(picks) >= cfg.MaxJobs {
-					break
-				}
-			}
-		}
-		if cfg.MaxJobs > 0 && len(picks) >= cfg.MaxJobs {
-			break
-		}
-	}
-	if len(picks) < 2 {
-		return nil, fmt.Errorf("bench: only %d relevant jobs found", len(picks))
-	}
-
-	// Baseline pass (CloudViews off) over the new instance. Baseline jobs
-	// are independent, so the whole pass goes through the concurrent
-	// submission pipeline; simulated latency/CPU are unaffected.
-	baseline := core.NewService(w.Catalog, core.Config{Enabled: false})
-	baseSpecs := make([]core.JobSpec, len(picks))
-	for i, p := range picks {
-		baseSpecs[i] = core.JobSpec{Meta: p.job.Meta, Root: p.job.Root}
-	}
-	baseBatch, err := baseline.RunBatch(context.Background(), baseSpecs, core.BatchOptions{})
+func RunProduction() (*ProdResult, error) {
+	cfg := DefaultProdConfig()
+	r, err := newRecurring(cfg.Profile)
 	if err != nil {
 		return nil, err
 	}
-	baseRes := map[string]*core.JobResult{}
-	for i, p := range picks {
-		baseRes[p.job.Meta.JobID] = baseBatch[i]
+	an, err := analyze(r.hist, cfg.analysis())
+	if err != nil {
+		return nil, err
+	}
+	picks, group := cfg.relevantJobs(r.jobs, an)
+	if len(picks) < 2 {
+		return nil, fmt.Errorf("bench: only %d relevant jobs found", len(picks))
+	}
+	base, err := baseline(r.cat, specs(picks))
+	if err != nil {
+		return nil, err
+	}
+	cv, err := runAll(reuseService(r.cat, an.Annotations, core.Config{MaxViewsPerJob: 1}), specs(picks))
+	if err != nil {
+		return nil, err
 	}
 
-	// CloudViews pass: same catalog, annotations loaded, group order. The
-	// first job of each view group builds (submitted alone, as the paper's
-	// sequences did), then the rest of the group runs as a concurrent
-	// batch of reusers.
-	cv := core.NewService(w.Catalog, core.Config{Enabled: true, MaxViewsPerJob: 1})
-	cv.Meta.LoadAnalysis(an.Annotations)
-	cvRes := make([]*core.JobResult, 0, len(picks))
-	for lo := 0; lo < len(picks); {
-		hi := lo + 1
-		for hi < len(picks) && picks[hi].group == picks[lo].group {
-			hi++
-		}
-		head, err := cv.Run(context.Background(), core.JobSpec{Meta: picks[lo].job.Meta, Root: picks[lo].job.Root})
-		if err != nil {
-			return nil, err
-		}
-		cvRes = append(cvRes, head)
-		if hi > lo+1 {
-			rest := make([]core.JobSpec, 0, hi-lo-1)
-			for _, p := range picks[lo+1 : hi] {
-				rest = append(rest, core.JobSpec{Meta: p.job.Meta, Root: p.job.Root})
-			}
-			batch, err := cv.RunBatch(context.Background(), rest, core.BatchOptions{})
-			if err != nil {
-				return nil, err
-			}
-			cvRes = append(cvRes, batch...)
-		}
-		lo = hi
-	}
 	res := &ProdResult{ViewsSelected: len(an.Selected)}
 	var sumBaseLat, sumCVLat, sumBaseCPU, sumCVCPU, sumLatImp, sumCPUImp float64
 	for i, p := range picks {
-		r := cvRes[i]
-		b := baseRes[p.job.Meta.JobID]
 		pj := ProdJob{
-			JobID:           p.job.Meta.JobID,
-			ViewGroup:       p.group,
-			Builder:         len(r.Decision.ViewsBuilt) > 0,
-			BaselineLatency: b.Result.Latency,
-			CVLatency:       r.Result.Latency,
-			BaselineCPU:     b.Result.TotalCPU,
-			CVCPU:           r.Result.TotalCPU,
+			JobID:           p.Meta.JobID,
+			ViewGroup:       group[i],
+			Builder:         len(cv[i].Decision.ViewsBuilt) > 0,
+			BaselineLatency: base[i].Result.Latency,
+			CVLatency:       cv[i].Result.Latency,
+			BaselineCPU:     base[i].Result.TotalCPU,
+			CVCPU:           cv[i].Result.TotalCPU,
 		}
 		res.Jobs = append(res.Jobs, pj)
 		sumBaseLat += pj.BaselineLatency
@@ -239,15 +167,6 @@ func RunProduction(cfg ProdConfig) (*ProdResult, error) {
 	res.AvgCPUImprovementPct = sumCPUImp / n
 	res.TotalCPUImprovementPct = (1 - sumCVCPU/sumBaseCPU) * 100
 	return res, nil
-}
-
-func planContainsNorm(comp *signature.Computer, j workgen.Job, normSig string) bool {
-	for _, s := range comp.AllSubgraphs(j.Root) {
-		if s.Sig.Normalized == normSig {
-			return true
-		}
-	}
-	return false
 }
 
 // WriteProd renders the Figures 11 and 12 tables plus the paper-style

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"cloudviews/internal/analyzer"
 	"cloudviews/internal/core"
@@ -40,118 +38,76 @@ type TPCDSResult struct {
 	ViewsSelected       int
 }
 
-// TPCDSConfig parameterizes the experiment.
-type TPCDSConfig struct {
-	Scale    float64
-	Seed     int64
-	TopViews int // the paper's conservative top-10
+// The §7.2 data: all 99 queries over TPC-DS at scale 1.
+const (
+	tpcdsScale = 1.0
+	tpcdsSeed  = 42
+)
+
+// tpcdsAnalysis is the §7.2 view selection. TPC-DS is not recurring, so
+// candidate filters stay permissive; the conservative part is the
+// paper's top-10 cut.
+func tpcdsAnalysis() analyzer.Config {
+	return analyzer.Config{MinFrequency: 3, MinCostRatio: 0.05, TopK: 10}
 }
 
-// DefaultTPCDSConfig mirrors the paper: all 99 queries, top-10 views.
-func DefaultTPCDSConfig() TPCDSConfig {
-	return TPCDSConfig{Scale: 1.0, Seed: 42, TopViews: 10}
+// tpcdsSpecs turns the queries into submissions of one tenant.
+func tpcdsSpecs(queries []tpcds.Query) []core.JobSpec {
+	out := make([]core.JobSpec, len(queries))
+	for i, q := range queries {
+		out[i] = core.JobSpec{Root: q.Root, Meta: workload.JobMeta{
+			JobID: q.Name, Cluster: "tpcds", BusinessUnit: "tpcds",
+			VC: "tpcds_vc", User: "bench", TemplateID: q.Name, Period: 1,
+		}}
+	}
+	return out
 }
 
 // RunTPCDS executes the §7.2 experiment:
 //
 //  1. run all 99 queries without CloudViews (this pass doubles as the
-//     analysis input, exactly as in the paper),
+//     analysis history, exactly as in the paper),
 //  2. run the analyzer and select the top-K overlapping computations,
-//  3. rerun the workload with CloudViews on, using the job-coordination
-//     hints to submit one builder per view first (§6.5),
+//  3. rerun the workload with CloudViews on, in the job-coordination
+//     order: the analyzer's builder jobs first, then the rest (§6.5),
 //  4. report per-query runtimes.
-func RunTPCDS(cfg TPCDSConfig) (*TPCDSResult, error) {
-	cat := tpcds.Generate(cfg.Scale, cfg.Seed)
-	builder := &tpcds.Builder{Cat: cat}
-	queries := builder.Queries()
+func RunTPCDS() (*TPCDSResult, error) {
+	cat := tpcds.Generate(tpcdsScale, tpcdsSeed)
+	queries := (&tpcds.Builder{Cat: cat}).Queries()
+	all := tpcdsSpecs(queries)
 
-	meta := func(q tpcds.Query) workload.JobMeta {
-		return workload.JobMeta{
-			JobID: q.Name, Cluster: "tpcds", BusinessUnit: "tpcds",
-			VC: "tpcds_vc", User: "bench", TemplateID: q.Name, Period: 1,
-		}
-	}
-
-	// Pass 1: baseline (also the analysis history). With CloudViews off
-	// the 99 queries are independent, so the pass runs through the
-	// concurrent submission pipeline; simulated latencies are unchanged
-	// and the analyzer is order-insensitive.
-	base := core.NewService(cat, core.Config{Enabled: false})
-	baseSpecs := make([]core.JobSpec, len(queries))
-	for i, q := range queries {
-		baseSpecs[i] = core.JobSpec{Meta: meta(q), Root: q.Root}
-	}
-	baseBatch, err := base.RunBatch(context.Background(), baseSpecs, core.BatchOptions{})
+	base := core.NewService(cat, core.Config{})
+	baseRes, err := runAll(base, all)
 	if err != nil {
-		return nil, fmt.Errorf("bench: baseline pass: %w", err)
+		return nil, err
 	}
-	baseline := map[int]float64{}
-	for i, q := range queries {
-		baseline[q.ID] = baseBatch[i].Result.Latency
-	}
-
-	// Pass 2: analyze. TPC-DS is not recurring, so candidate filters stay
-	// permissive; the conservative part is the top-K cut.
-	an := analyzer.New(base.Repo).Analyze(analyzer.Config{
-		MinFrequency: 3,
-		MinCostRatio: 0.05,
-		TopK:         cfg.TopViews,
-	})
-	if len(an.Selected) == 0 {
-		return nil, fmt.Errorf("bench: no overlapping computations selected")
-	}
-
-	// Pass 3: CloudViews run with coordinated submission order: the
-	// analyzer's builder jobs run first and serially (each materializes a
-	// view the rest depend on), then everything else reuses as one
-	// concurrent batch — the §6.5 hint-driven schedule.
-	cv := core.NewService(cat, core.Config{Enabled: true, MaxViewsPerJob: 1})
-	cv.Meta.LoadAnalysis(an.Annotations)
-	order := coordinateOrder(queries, an.JobOrder)
-	builders := 0
-	hinted := map[string]bool{}
-	for _, id := range an.JobOrder {
-		hinted[id] = true
-	}
-	for builders < len(order) && hinted[order[builders].Name] {
-		builders++
-	}
-	results := map[int]TPCDSQueryResult{}
-	record := func(q tpcds.Query, r *core.JobResult) {
-		results[q.ID] = TPCDSQueryResult{
-			ID:         q.ID,
-			Baseline:   baseline[q.ID],
-			CloudViews: r.Result.Latency,
-			UsedViews:  len(r.Decision.ViewsUsed),
-			BuiltViews: len(r.Decision.ViewsBuilt),
-		}
-	}
-	for _, q := range order[:builders] {
-		r, err := cv.Run(context.Background(), core.JobSpec{Meta: meta(q), Root: q.Root})
-		if err != nil {
-			return nil, fmt.Errorf("bench: cloudviews %s: %w", q.Name, err)
-		}
-		record(q, r)
-	}
-	rest := order[builders:]
-	restSpecs := make([]core.JobSpec, len(rest))
-	for i, q := range rest {
-		restSpecs[i] = core.JobSpec{Meta: meta(q), Root: q.Root}
-	}
-	restBatch, err := cv.RunBatch(context.Background(), restSpecs, core.BatchOptions{})
+	an, err := analyze(base.Repo, tpcdsAnalysis())
 	if err != nil {
-		return nil, fmt.Errorf("bench: cloudviews batch: %w", err)
+		return nil, err
 	}
-	for i, q := range rest {
-		record(q, restBatch[i])
+	order := buildersFirst(all, an.JobOrder)
+	cvRes, err := runAll(reuseService(cat, an.Annotations, core.Config{MaxViewsPerJob: 1}), order)
+	if err != nil {
+		return nil, err
+	}
+	cv := map[string]*core.JobResult{}
+	for i, s := range order {
+		cv[s.Meta.JobID] = cvRes[i]
 	}
 
 	res := &TPCDSResult{ViewsSelected: len(an.Selected)}
 	var sumBase, sumCV, sumImp float64
-	for id := 1; id <= 99; id++ {
-		q := results[id]
-		res.Queries = append(res.Queries, q)
-		imp := q.ImprovementPct()
+	for i, q := range queries {
+		r := cv[q.Name]
+		qr := TPCDSQueryResult{
+			ID:         q.ID,
+			Baseline:   baseRes[i].Result.Latency,
+			CloudViews: r.Result.Latency,
+			UsedViews:  len(r.Decision.ViewsUsed),
+			BuiltViews: len(r.Decision.ViewsBuilt),
+		}
+		res.Queries = append(res.Queries, qr)
+		imp := qr.ImprovementPct()
 		if imp > 0 {
 			res.Improved++
 		}
@@ -161,37 +117,13 @@ func RunTPCDS(cfg TPCDSConfig) (*TPCDSResult, error) {
 		if imp < res.PeakSlowdownPct {
 			res.PeakSlowdownPct = imp
 		}
-		sumBase += q.Baseline
-		sumCV += q.CloudViews
+		sumBase += qr.Baseline
+		sumCV += qr.CloudViews
 		sumImp += imp
 	}
 	res.AvgImprovementPct = sumImp / float64(len(res.Queries))
 	res.TotalImprovementPct = (1 - sumCV/sumBase) * 100
 	return res, nil
-}
-
-// coordinateOrder returns the queries with the analyzer-designated
-// builders first (in hint order), then the rest by ID.
-func coordinateOrder(queries []tpcds.Query, builderIDs []string) []tpcds.Query {
-	isBuilder := map[string]int{}
-	for i, id := range builderIDs {
-		isBuilder[id] = i + 1
-	}
-	out := append([]tpcds.Query(nil), queries...)
-	sort.SliceStable(out, func(i, j int) bool {
-		bi, bj := isBuilder[out[i].Name], isBuilder[out[j].Name]
-		switch {
-		case bi != 0 && bj != 0:
-			return bi < bj
-		case bi != 0:
-			return true
-		case bj != 0:
-			return false
-		default:
-			return out[i].ID < out[j].ID
-		}
-	})
-	return out
 }
 
 // WriteTPCDS renders the Figure 13 series and aggregates.

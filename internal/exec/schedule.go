@@ -39,15 +39,7 @@ type dagRun struct {
 // runDAG executes the plan rooted at root with the dependency-counting
 // scheduler, filling st exactly as the serial walk would.
 func (e *Executor) runDAG(root *plan.Node, st *execState) error {
-	// Memoize derived schemas serially before going parallel: Schema()
-	// lazily caches into the node, and operators (joins, aggregates) read
-	// it during execution — a benign-looking but real data race if two
-	// parents of a shared node derived it concurrently.
 	nodes := plan.Nodes(root)
-	for _, n := range nodes {
-		n.Schema()
-	}
-
 	d := &dagRun{
 		e:       e,
 		st:      st,

@@ -1,6 +1,7 @@
 #!/bin/sh
 # check.sh — the full local gate: vet, build, tests, race-detector runs on
-# the concurrent packages, and a 1-iteration benchmark smoke pass. Full
+# the concurrent packages, a 1-iteration benchmark smoke pass and a smoke
+# run of every cloudviews subcommand. Full
 # micro-benchmark runs are `make bench`; the end-to-end benchmark is
 # `bash e2ebench/run.sh`.
 set -eux
@@ -152,3 +153,8 @@ go test -run='^$' -bench='^BenchmarkAnalyzer' -benchtime=1x -short ./internal/an
 # Smoke-run every benchmark once; -short skips the heavyweight runs
 # (full TPC-DS) so this finishes quickly.
 go test -run='^$' -bench=. -benchtime=1x -short ./...
+# Driver smoke: the admin flow and every experiment subcommand must still
+# dispatch and run. tpcds is left to TestTPCDSShapes, which pins its output.
+for sub in '' overlap prod overheads ablations; do
+	go run ./cmd/cloudviews $sub >/dev/null
+done
